@@ -35,13 +35,16 @@
 #                kernel bench pass gated against the committed baseline
 #                (benchfmt -gate) — catches hot-path allocation and
 #                kernel time regressions without the full count-5 run
+#   make perfbench-smoke  the end-to-end benchmark's own tests: a tiny-scale,
+#                correctness-checked pass of every workload (perfbench is a
+#                nested module, so `go test ./...` at the root skips it)
 
 GO      ?= go
 FUZZT   ?= 10s
 BENCHN  ?= 5
 BENCH_JSON ?= BENCH_9.json
 
-.PHONY: check vet fmtcheck build test race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke bench bench-smoke bench-comm ci
+.PHONY: check vet fmtcheck build test race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke bench bench-smoke bench-comm perfbench-smoke ci
 
 check: vet fmtcheck build test
 
@@ -259,4 +262,7 @@ bench-smoke:
 		./internal/align/ | $(GO) run ./cmd/benchfmt \
 		-old bench/bench_baseline.txt -gate 10
 
-ci: check race fuzz chaos bench-smoke dist-smoke serve-smoke assemble-smoke placement-smoke
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
+
+ci: check race fuzz chaos bench-smoke perfbench-smoke dist-smoke serve-smoke assemble-smoke placement-smoke

@@ -1,13 +1,17 @@
 // Package pipeline implements DiBELLA's stages 1-2 as a distributed SPMD
 // program on the rt.Runtime interface (paper §3): each rank extracts
 // k-mers from its own read partition, canonical k-mers are routed to hash
-// owners in an irregular all-to-all, the owners build the global histogram
-// and apply the reliable-frequency window, retained occurrence lists turn
-// into candidate pairs, pairs are deduplicated at hash owners (keeping the
-// smallest-code seed, matching the serial reference exactly), and finally
-// the tasks are redistributed to read owners under the owner invariant
-// with count balancing ("the tasks are roughly balanced across the
-// processors").
+// owners in an irregular all-to-all, and each owner builds its share of
+// the histogram as a sorted index: the received occurrences, which arrive
+// in read order, are flattened into one slice and ordered by (code, read)
+// with a stable radix sort, so runs of equal code are the histogram
+// entries. Runs inside the reliable-frequency window turn into candidate
+// pairs. Codes are walked in ascending order, so an owner's first seed for
+// a pair is its smallest-code one, and that is the only record it ships
+// (an owner-side combiner). Pair owners keep the smallest-code seed across
+// owners, matching the serial reference exactly, and finally the tasks are
+// redistributed to read owners under the owner invariant with count
+// balancing ("the tasks are roughly balanced across the processors").
 //
 // The union of every rank's output tasks equals overlap.FromReadSet's
 // serial result — seed for seed — which the tests enforce.
@@ -127,71 +131,62 @@ func Run(r rt.Runtime, in *Input) (*Output, error) {
 	var sendTask [][]byte
 	var perr error
 	r.Timed(rt.CatOverhead, func() {
-		index := make(map[kmer.Code][]kmer.Occurrence)
-		for src, buf := range recvOcc {
-			if len(buf)%occWire != 0 {
-				perr = fmt.Errorf("pipeline: rank %d: ragged occurrence list from %d", r.Rank(), src)
-				return
-			}
-			for off := 0; off < len(buf); off += occWire {
-				c := kmer.Code(binary.LittleEndian.Uint64(buf[off:]))
-				occ := kmer.Occurrence{
-					Read: seq.ReadID(binary.LittleEndian.Uint32(buf[off+8:])),
-					Pos:  int32(binary.LittleEndian.Uint32(buf[off+12:])),
-					RC:   buf[off+16] == 1,
-				}
-				index[c] = append(index[c], occ)
-			}
+		var occs []ownedOcc
+		occs, perr = decodeOccs(r.Rank(), recvOcc)
+		if perr != nil {
+			return
 		}
-		out.KmersOwned = int64(len(index))
+		occs = sortByCode(occs, 2*in.K)
 
-		// Deterministic order and the exact pairing rule of the serial
-		// reference: sorted codes; occurrences sorted by (read, pos).
-		codes := make([]uint64, 0, len(index))
-		for c := range index {
-			codes = append(codes, uint64(c))
-		}
-		sort.Slice(codes, func(i, j int) bool { return codes[i] < codes[j] })
+		// Codes are walked in ascending order, so the first seed this rank
+		// finds for a pair is its smallest-code seed here: ship only that
+		// one. The pair owner's min-code dedup then yields exactly the
+		// serial reference's seed.
 		sendTask = make([][]byte, p)
-		for _, cu := range codes {
-			occ := index[kmer.Code(cu)]
-			if len(occ) < in.Lo || len(occ) > in.Hi {
+		shipped := make(map[uint64]struct{})
+		for i := 0; i < len(occs); {
+			code := occs[i].code
+			j := i + 1
+			for j < len(occs) && occs[j].code == code {
+				j++
+			}
+			run := occs[i:j]
+			i = j
+			out.KmersOwned++
+			if len(run) < in.Lo || len(run) > in.Hi {
 				continue
 			}
 			out.KmersRetained++
-			sort.Slice(occ, func(i, j int) bool {
-				if occ[i].Read != occ[j].Read {
-					return occ[i].Read < occ[j].Read
-				}
-				return occ[i].Pos < occ[j].Pos
-			})
-			for i := 0; i < len(occ); i++ {
-				for j := i + 1; j < len(occ); j++ {
-					a, b := occ[i], occ[j]
-					if a.Read == b.Read {
+			for x := range run {
+				for y := x + 1; y < len(run); y++ {
+					// run is in read order, so a.read < b.read unless a
+					// peer sent one read twice for a code.
+					a, b := run[x], run[y]
+					if a.read == b.read {
 						continue
 					}
-					if a.Read > b.Read {
-						a, b = b, a
-					}
-					rc := a.RC != b.RC
-					posB := b.Pos
-					if rc {
-						posB = in.Lens[b.Read] - b.Pos - int32(in.K)
-					}
 					out.PairsEmitted++
-					key := uint64(a.Read)<<32 | uint64(b.Read)
-					dst := hashOwner(key, p)
+					key := uint64(a.read)<<32 | uint64(b.read)
+					if _, dup := shipped[key]; dup {
+						continue
+					}
+					shipped[key] = struct{}{}
+					rc := a.rc() != b.rc()
+					posB := b.pos()
+					if rc {
+						posB = in.Lens[b.read] - posB - int32(in.K)
+					}
 					var rec [taskWire]byte
-					binary.LittleEndian.PutUint64(rec[0:], cu)
-					binary.LittleEndian.PutUint32(rec[8:], uint32(a.Read))
-					binary.LittleEndian.PutUint32(rec[12:], uint32(b.Read))
-					binary.LittleEndian.PutUint32(rec[16:], uint32(a.Pos))
+					binary.LittleEndian.PutUint64(rec[0:], code)
+					binary.LittleEndian.PutUint32(rec[8:], a.read)
+					binary.LittleEndian.PutUint32(rec[12:], b.read)
+					binary.LittleEndian.PutUint32(rec[16:], uint32(a.pos()))
 					binary.LittleEndian.PutUint32(rec[20:], uint32(posB))
 					binary.LittleEndian.PutUint16(rec[24:], uint16(in.K))
 					if rc {
 						rec[26] = 1
 					}
+					dst := hashOwner(key, p)
 					sendTask[dst] = append(sendTask[dst], rec[:]...)
 				}
 			}
@@ -205,35 +200,12 @@ func Run(r rt.Runtime, in *Input) (*Output, error) {
 	// --- Stage: pair dedup (min-code seed wins, as in the serial path). ---
 	var deduped []keyedTask
 	r.Timed(rt.CatOverhead, func() {
-		best := make(map[uint64]keyedTask)
-		for _, buf := range recvTask {
-			for off := 0; off+taskWire <= len(buf); off += taskWire {
-				code := binary.LittleEndian.Uint64(buf[off:])
-				t := overlap.Task{
-					A: seq.ReadID(binary.LittleEndian.Uint32(buf[off+8:])),
-					B: seq.ReadID(binary.LittleEndian.Uint32(buf[off+12:])),
-					Seed: overlap.Seed{
-						PosA: int32(binary.LittleEndian.Uint32(buf[off+16:])),
-						PosB: int32(binary.LittleEndian.Uint32(buf[off+20:])),
-						K:    int16(binary.LittleEndian.Uint16(buf[off+24:])),
-						RC:   buf[off+26] == 1,
-					},
-				}
-				cur, seen := best[t.Key()]
-				if !seen || code < cur.code {
-					best[t.Key()] = keyedTask{code: code, task: t}
-				}
-			}
-		}
-		out.PairsOwned = int64(len(best))
-		deduped = make([]keyedTask, 0, len(best))
-		for _, kt := range best {
-			deduped = append(deduped, kt)
-		}
-		sort.Slice(deduped, func(i, j int) bool {
-			return deduped[i].task.Key() < deduped[j].task.Key()
-		})
+		deduped, perr = dedupPairs(r.Rank(), recvTask)
 	})
+	if perr != nil {
+		return nil, perr
+	}
+	out.PairsOwned = int64(len(deduped))
 
 	// --- Stage: task redistribution to read owners, count-balanced. ---
 	tasks, err := redistribute(r, in, deduped)
@@ -242,6 +214,126 @@ func Run(r rt.Runtime, in *Input) (*Output, error) {
 	}
 	out.Tasks = tasks
 	return out, nil
+}
+
+// ownedOcc is one k-mer occurrence decoded at the code's owner, packed to
+// 16 bytes: the strand flag rides in the low bit of posRC.
+type ownedOcc struct {
+	code  uint64
+	read  uint32
+	posRC uint32 // pos<<1 | rc
+}
+
+func (o ownedOcc) pos() int32 { return int32(o.posRC >> 1) }
+func (o ownedOcc) rc() bool   { return o.posRC&1 == 1 }
+
+// decodeOccs flattens the received occurrence buffers into one slice in
+// read order, releasing each buffer once decoded.
+//
+// Read order is an invariant of stage 1, which sortByCode relies on: ranks
+// own contiguous, ascending read ranges and each scans its range in order,
+// so the buffers concatenated by source rank carry non-decreasing read
+// IDs. A violation is an error, never a silently wrong sort. Each (code,
+// read) occurs at most once (keepPerRead = 1), so positions need no order.
+func decodeOccs(rank int, bufs [][]byte) ([]ownedOcc, error) {
+	n := 0
+	for src, buf := range bufs {
+		if len(buf)%occWire != 0 {
+			return nil, fmt.Errorf("pipeline: rank %d: ragged occurrence list from %d", rank, src)
+		}
+		n += len(buf) / occWire
+	}
+	occs := make([]ownedOcc, 0, n)
+	var prev uint32
+	for src, buf := range bufs {
+		for off := 0; off < len(buf); off += occWire {
+			o := ownedOcc{
+				code:  binary.LittleEndian.Uint64(buf[off:]),
+				read:  binary.LittleEndian.Uint32(buf[off+8:]),
+				posRC: binary.LittleEndian.Uint32(buf[off+12:]) << 1,
+			}
+			if buf[off+16] == 1 {
+				o.posRC |= 1
+			}
+			if o.read < prev {
+				return nil, fmt.Errorf("pipeline: rank %d: occurrence list from %d out of read order (read %d after %d)",
+					rank, src, o.read, prev)
+			}
+			prev = o.read
+			occs = append(occs, o)
+		}
+		bufs[src] = nil
+	}
+	return occs, nil
+}
+
+// sortByCode orders occs by code with a stable LSD radix sort over the
+// code's low bits, 16 per pass, and returns the sorted slice (occs itself
+// or the scratch copy; the other is garbage once this returns). Stability
+// keeps decodeOccs's read order, so the result is ordered by (code, read).
+func sortByCode(occs []ownedOcc, bits int) []ownedOcc {
+	if len(occs) < 2 {
+		return occs
+	}
+	count := make([]int, 1<<16)
+	src, dst := occs, make([]ownedOcc, len(occs))
+	for shift := 0; shift < bits; shift += 16 {
+		clear(count)
+		for i := range src {
+			count[src[i].code>>shift&0xffff]++
+		}
+		if count[src[0].code>>shift&0xffff] == len(src) {
+			continue // every code shares this digit
+		}
+		sum := 0
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for i := range src {
+			d := src[i].code >> shift & 0xffff
+			dst[count[d]] = src[i]
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
+// dedupPairs keeps, per read pair received, the candidate with the
+// smallest code, and returns them sorted by pair key.
+func dedupPairs(rank int, bufs [][]byte) ([]keyedTask, error) {
+	best := make(map[uint64]keyedTask)
+	for src, buf := range bufs {
+		if len(buf)%taskWire != 0 {
+			return nil, fmt.Errorf("pipeline: rank %d: ragged task list from %d", rank, src)
+		}
+		for off := 0; off < len(buf); off += taskWire {
+			code := binary.LittleEndian.Uint64(buf[off:])
+			t := overlap.Task{
+				A: seq.ReadID(binary.LittleEndian.Uint32(buf[off+8:])),
+				B: seq.ReadID(binary.LittleEndian.Uint32(buf[off+12:])),
+				Seed: overlap.Seed{
+					PosA: int32(binary.LittleEndian.Uint32(buf[off+16:])),
+					PosB: int32(binary.LittleEndian.Uint32(buf[off+20:])),
+					K:    int16(binary.LittleEndian.Uint16(buf[off+24:])),
+					RC:   buf[off+26] == 1,
+				},
+			}
+			cur, seen := best[t.Key()]
+			if !seen || code < cur.code {
+				best[t.Key()] = keyedTask{code: code, task: t}
+			}
+		}
+	}
+	deduped := make([]keyedTask, 0, len(best))
+	for _, kt := range best {
+		deduped = append(deduped, kt)
+	}
+	sort.Slice(deduped, func(i, j int) bool {
+		return deduped[i].task.Key() < deduped[j].task.Key()
+	})
+	return deduped, nil
 }
 
 // redistribute sends each deduplicated task to the owner of one of its

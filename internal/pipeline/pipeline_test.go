@@ -24,30 +24,9 @@ func scopeRank(r rt.Runtime, pt *partition.Partition, reads *seq.ReadSet, lens [
 // per-rank outputs.
 func runDistributed(t *testing.T, reads *seq.ReadSet, p, k, lo, hi int) ([]*Output, *partition.Partition) {
 	t.Helper()
-	lens := workload.LensOf(reads)
-	lensInt := make([]int, len(lens))
-	for i, l := range lens {
-		lensInt[i] = int(l)
-	}
-	pt, err := partition.BySize(lensInt, p)
+	outs, _, pt, err := runTapped(t, reads, p, k, lo, hi)
 	if err != nil {
 		t.Fatal(err)
-	}
-	world, err := par.NewWorld(par.Config{P: p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs := make([]*Output, p)
-	errs := make([]error, p)
-	world.Run(func(r rt.Runtime) {
-		outs[r.Rank()], errs[r.Rank()] = Run(r, &Input{
-			Part: pt, Store: scopeRank(r, pt, reads, lens), Lens: lens, K: k, Lo: lo, Hi: hi,
-		})
-	})
-	for rk, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", rk, err)
-		}
 	}
 	return outs, pt
 }

@@ -93,8 +93,8 @@ type Job struct {
 	ID   string
 	Spec JobSpec
 
-	reads    *seq.ReadSet
-	estBytes int64 // admission-control estimate: total wire bytes of the read set
+	reads    *seq.ReadSet // replaced under mu at a terminal state, see releaseSeqs
+	estBytes int64        // admission-control estimate: total wire bytes of the read set
 
 	// chaosKill >= 0 arms the chaos hook: the engine kills this rank of
 	// the world mid-run while executing this job. Only settable when the
@@ -158,6 +158,7 @@ func (j *Job) complete(hits []core.Hit, tasks int64, rows []trace.JobRow, now ti
 		return
 	}
 	j.state, j.hits, j.tasks, j.metrics, j.finished = StateDone, hits, tasks, rows, now
+	j.releaseSeqs()
 	close(j.done)
 }
 
@@ -169,7 +170,20 @@ func (j *Job) fail(err error, kind string, now time.Time) {
 		return
 	}
 	j.state, j.err, j.errKind, j.finished = StateFailed, err, kind, now
+	j.releaseSeqs()
 	close(j.done)
+}
+
+// releaseSeqs swaps the read set for a copy without sequences, so a
+// finished job, which the server keeps, no longer pins its bases: status
+// and hit output need only the read count and names. The NewJob caller
+// owns the original, so it is copied, never mutated. Caller holds j.mu.
+func (j *Job) releaseSeqs() {
+	names := &seq.ReadSet{Reads: make([]seq.Read, len(j.reads.Reads))}
+	for i, r := range j.reads.Reads {
+		names.Reads[i] = seq.Read{ID: r.ID, Name: r.Name}
+	}
+	j.reads = names
 }
 
 // bumpRetry counts one reschedule after a rank loss.
@@ -236,4 +250,8 @@ func (j *Job) Metrics() []trace.JobRow {
 }
 
 // ReadName resolves a ReadID to the submitted read's name (hit output).
-func (j *Job) ReadName(id seq.ReadID) string { return j.reads.Get(id).Name }
+func (j *Job) ReadName(id seq.ReadID) string {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.reads.Get(id).Name
+}

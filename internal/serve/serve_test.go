@@ -301,3 +301,78 @@ func TestServeFASTASubmission(t *testing.T) {
 		t.Errorf("FASTA job: hits differ from the batch reference (%d vs %d bytes)", len(tsv), len(want))
 	}
 }
+
+// A terminal job drops its read sequences but answers exactly as before:
+// the status JSON and the hits TSV are byte-identical across the release,
+// and the caller's read set is left intact.
+func TestTerminalJobReleasesSequences(t *testing.T) {
+	reads := testReadsScaled(t, 21, 2000)
+	if reads.Len() < 4 {
+		t.Fatalf("only %d reads; test workload broken", reads.Len())
+	}
+	bases := reads.TotalBases()
+	hits := []core.Hit{{A: 0, B: 1, Score: 120}, {A: 1, B: 3, Score: 140}, {A: 2, B: 3, Score: 101}}
+	s := &Server{jobs: make(map[string]*Job)}
+	render := func(id string) (status, tsv string) {
+		t.Helper()
+		for _, path := range []string{"/v1/jobs/" + id, "/v1/jobs/" + id + "/hits"} {
+			req := httptest.NewRequest(http.MethodGet, path, nil)
+			req.SetPathValue("id", id)
+			rec := httptest.NewRecorder()
+			if strings.HasSuffix(path, "/hits") {
+				s.handleHits(rec, req)
+				tsv = rec.Body.String()
+			} else {
+				s.handleStatus(rec, req)
+				status = rec.Body.String()
+			}
+		}
+		return status, tsv
+	}
+	start := time.Unix(1000, 0)
+	finish := start.Add(1500 * time.Millisecond)
+	for _, tc := range []struct {
+		name string
+		end  func(j *Job)
+	}{
+		{"done", func(j *Job) { j.complete(hits, 7, nil, finish) }},
+		{"failed", func(j *Job) { j.fail(fmt.Errorf("boom"), "pipeline", finish) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := JobSpec{K: e2eK, LoFreq: e2eLo, HiFreq: e2eHi}
+			if err := spec.normalize(); err != nil {
+				t.Fatal(err)
+			}
+			finished := func() *Job {
+				j := newJob("job-"+tc.name, spec, reads, start)
+				j.setRunning(start)
+				tc.end(j)
+				s.jobs[j.ID] = j
+				return j
+			}
+			// The terminal state as it reads with the sequences still held.
+			finished().reads = reads
+			wantStatus, wantTSV := render("job-" + tc.name)
+
+			j := finished()
+			gotStatus, gotTSV := render(j.ID)
+			if gotStatus != wantStatus {
+				t.Errorf("status changed by the release:\n got %s\nwant %s", gotStatus, wantStatus)
+			}
+			if gotTSV != wantTSV {
+				t.Errorf("hits changed by the release:\n got %q\nwant %q", gotTSV, wantTSV)
+			}
+			if tc.name == "done" && !strings.Contains(gotTSV, reads.Get(3).Name) {
+				t.Errorf("hits TSV %q lacks read names", gotTSV)
+			}
+			for i := range j.reads.Reads {
+				if j.reads.Reads[i].Seq != nil {
+					t.Fatalf("read %d still holds its sequence", i)
+				}
+			}
+			if got := reads.TotalBases(); got != bases {
+				t.Errorf("caller's read set mutated: %d bases, had %d", got, bases)
+			}
+		})
+	}
+}
