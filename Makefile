@@ -30,7 +30,7 @@
 #   make bench   full kernel benchmark run (count 5): writes the raw
 #                output to bench/bench_new.txt and the before/after
 #                comparison against bench/bench_baseline.txt (the
-#                committed scalar reference numbers) to $(BENCH_JSON)
+#                committed pre-workspace kernel numbers) to $(BENCH_JSON)
 #   make bench-smoke  fast CI gate: alloc-free guard tests plus a short
 #                kernel bench pass gated against the committed baseline
 #                (benchfmt -gate) — catches hot-path allocation and
@@ -224,7 +224,7 @@ placement-smoke:
 		$$(ls $$tmp/met-contigs.csv.rank*) || exit 1
 
 # Full kernel benchmark run. bench/bench_baseline.txt is the committed
-# scalar-kernel reference output of the same benchmarks (regenerate it
+# output of the 1k/10k benchmarks on the pre-workspace kernel (regenerate it
 # with `make bench` on the commit being used as the baseline and copy
 # bench/bench_new.txt over it); $(BENCH_JSON) records median/min/max per
 # benchmark and unit plus the relative delta against that baseline.
@@ -254,7 +254,7 @@ bench-comm:
 # Fast allocation-regression gate for CI: the AllocsPerRun guard tests
 # (kernel, codecs, wire decode, overlap workspace) plus one short bench
 # pass gated at +10% ns/op against the committed baseline, so neither
-# the benchmarks nor the SWAR speedup can rot silently.
+# the benchmarks nor the kernel's speed can rot silently.
 bench-smoke:
 	$(GO) test -run 'AllocFree' -v ./internal/align/ ./internal/core/ \
 		./internal/seq/ ./internal/overlap/

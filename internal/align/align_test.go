@@ -319,19 +319,27 @@ func BenchmarkSeedExtend10k(b *testing.B) { benchSeedExtend(b, 10000, false) }
 func BenchmarkSeedExtendRef1k(b *testing.B)  { benchSeedExtend(b, 1000, true) }
 func BenchmarkSeedExtendRef10k(b *testing.B) { benchSeedExtend(b, 10000, true) }
 
-// The Scalar variants pin the int32 fallback kernel, so bench runs report
-// the SWAR and scalar paths side by side on identical inputs; the Wide
-// variants raise the drop threshold to x=100, the broad-band regime where
-// the packed words cover many more lanes per row.
-func BenchmarkSeedExtendScalar1k(b *testing.B)      { benchScalar(b, 1000, 15) }
-func BenchmarkSeedExtendScalar10k(b *testing.B)     { benchScalar(b, 10000, 15) }
-func BenchmarkSeedExtendWide10k(b *testing.B)       { benchSeedExtendX(b, 10000, 100, false) }
-func BenchmarkSeedExtendWideScalar10k(b *testing.B) { benchScalar(b, 10000, 100) }
+// The Wide variant raises the drop threshold to x=100, the broad-band
+// regime where each row spans many more live columns.
+func BenchmarkSeedExtendWide10k(b *testing.B) { benchSeedExtendX(b, 10000, 100, false) }
 
-func benchScalar(b *testing.B, n, x int) {
-	defer func(v bool) { swarEnabled = v }(swarEnabled)
-	swarEnabled = false
-	benchSeedExtendX(b, n, x, false)
+// BenchmarkSeedExtendCLR8k is the kernel under CLR-like reads: two 8 kb
+// copies of one template, each with 15% errors including indels, seeded
+// mid-read, so the band wanders and widens as on real long noisy reads.
+func BenchmarkSeedExtendCLR8k(b *testing.B) {
+	a, bb, posA, posB := noisyPair(rand.New(rand.NewSource(1)), 8000, 17, 0.15)
+	sc := DefaultScoring()
+	w := NewWorkspace()
+	b.ResetTimer()
+	var cells int64
+	for i := 0; i < b.N; i++ {
+		res, err := w.SeedExtend(a, bb, posA, posB, 17, sc, 15)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cells += int64(res.Cells)
+	}
+	b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
 }
 
 func benchSeedExtend(b *testing.B, n int, ref bool) { benchSeedExtendX(b, n, 15, ref) }

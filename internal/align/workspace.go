@@ -11,16 +11,12 @@ import (
 // gap penalty is added.
 const negInf32 = int32(-1)<<29 - 1
 
-// swarEnabled gates the packed int16 kernel; tests and benchmarks flip it
-// off to pin the scalar path.
-var swarEnabled = true
-
 // Workspace is the reusable scratch of one alignment lane: DP rows grown
-// monotonically, the 5×5 substitution table for the current scoring scheme,
-// and a reverse-complement buffer. With a warm workspace, SeedExtend runs
-// allocation-free — the property the hot path depends on, since every one
-// of the millions of tasks would otherwise churn the allocator (§4.2's
-// per-task overhead).
+// monotonically, b's base codes in walk order, the substitution table for
+// the current scoring scheme, and a reverse-complement buffer. With a warm
+// workspace, SeedExtend runs allocation-free — the property the hot path
+// depends on, since every one of the millions of tasks would otherwise
+// churn the allocator (§4.2's per-task overhead).
 //
 // Ownership: one workspace per rank. Every call mutates its buffers, so a
 // workspace must never be shared across goroutines; the drivers obtain one
@@ -29,23 +25,22 @@ var swarEnabled = true
 // driver needs no more than the rank's own workspace.
 type Workspace struct {
 	prev, cur []int32
-	sub       [seq.NumBases][seq.NumBases]int32
-	subFor    Scoring
-	subOK     bool
-	rc        seq.Seq
-	swar      swarState
-	stats     KernelStats
+	bcode     []uint8 // bcode[j]: code of the base DP column j consumes
+	// sub[ca][cb&7] scores row base ca against column base cb; codes above
+	// N score like N, so the 8-wide rows index without a bounds check.
+	sub    [seq.NumBases][8]int32
+	subFor Scoring
+	subOK  bool
+	rc     seq.Seq
+	stats  KernelStats
 }
 
-// KernelStats counts which kernel served the extensions run on a workspace
-// and how full the SWAR lanes were: LaneCells is the number of live window
-// cells the packed pass covered, LaneSlots the number of int16 lane slots
-// it issued for them (words × 4) — occupancy is their ratio.
+// KernelStats counts which kernel served the extensions run on a workspace:
+// the int32 row kernel, or the int reference kernel for inputs outside the
+// int32 gate.
 type KernelStats struct {
-	SWARExts   int64 // extensions served by the packed int16 kernel
-	ScalarExts int64 // extensions that fell back to the int32 scalar kernel
-	LaneCells  int64 // live DP cells covered by packed pass-A words
-	LaneSlots  int64 // int16 lane slots issued by packed pass-A words
+	RowExts int64 // extensions served by the int32 row kernel
+	RefExts int64 // extensions routed to the int reference kernel
 }
 
 // TakeStats returns the counters accumulated since the last call and
@@ -60,8 +55,8 @@ func (w *Workspace) TakeStats() KernelStats {
 // are retained across calls.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// ensure sizes the DP rows for a b of length blen and refreshes the
-// substitution table when the scoring scheme changed.
+// ensure sizes the DP rows and the code buffer for a b of length blen and
+// refreshes the substitution table when the scoring scheme changed.
 func (w *Workspace) ensure(sc Scoring, blen int) {
 	if cap(w.prev) < blen+1 {
 		n := 2 * cap(w.prev)
@@ -73,14 +68,31 @@ func (w *Workspace) ensure(sc Scoring, blen int) {
 		}
 		w.prev = make([]int32, n)
 		w.cur = make([]int32, n)
+		w.bcode = make([]uint8, n)
 	}
 	if !w.subOK || w.subFor != sc {
-		for x := 0; x < seq.NumBases; x++ {
-			for y := 0; y < seq.NumBases; y++ {
-				w.sub[x][y] = int32(sub(sc, seq.Base(x), seq.Base(y)))
+		for x := range w.sub {
+			for y := range w.sub[x] {
+				w.sub[x][y] = int32(sub(sc, seq.Base(x), min(seq.Base(y), seq.N)))
 			}
 		}
 		w.subFor, w.subOK = sc, true
+	}
+}
+
+// setB fills bcode[1:len(b)+1] with the codes of b in walk order (b[j-1]
+// forward, b[blen-j] reversed), clamped to N, so the row loop reads one
+// contiguous code slice in either direction.
+func (w *Workspace) setB(b seq.Seq, rev bool) {
+	codes := w.bcode[1 : len(b)+1]
+	if rev {
+		for j, cb := range b {
+			codes[len(b)-1-j] = uint8(min(cb, seq.N))
+		}
+		return
+	}
+	for j, cb := range b {
+		codes[j] = uint8(min(cb, seq.N))
 	}
 }
 
@@ -102,6 +114,13 @@ func (w *Workspace) RevComp(s seq.Seq) seq.Seq {
 // the int32 row representation. Genomic inputs (reads up to a few hundred
 // kilobases, single-digit scoring constants) pass by orders of magnitude;
 // pathological parameters fall back to the reference int kernel.
+//
+// Live values lie in [-x-mag, n·mag] with n = alen+blen+2, so n·mag+x <
+// 2^29 keeps them above negInf32. The floor is set by the row kernel's
+// unpruned left carry: a pruned cell (negInf32) plus one move gives
+// negInf32−mag, and the carry adds a gap to that, so the lowest value the
+// kernel forms is negInf32−2·mag. The mag < 2^29 bound keeps it above
+// -3·2^29−1 > math.MinInt32, so nothing wraps.
 func fitsInt32(alen, blen int, sc Scoring, x int) bool {
 	const lim = 1 << 29
 	abs := func(v int) int64 {
@@ -135,56 +154,55 @@ func (w *Workspace) ExtendRight(a, b seq.Seq, sc Scoring, x int) Extension {
 	return w.extend(a, b, sc, x, false)
 }
 
-// extend dispatches one X-drop extension to the fastest kernel whose value
-// range provably holds the inputs: the packed int16 SWAR kernel when
-// fitsInt16 passes, else the int32 scalar kernel (which itself falls back
-// to the int reference for pathological magnitudes). All three produce
-// bit-identical scores, extents and cell counts.
+// extend runs one X-drop extension over a and b, walking both backward
+// when rev is set. Inputs inside the fitsInt32 gate run on the int32 row
+// kernel; the rest (pathological magnitudes, or a positive gap, which the
+// deferred pruning's exactness argument excludes) run on the int
+// reference. Both give identical Score, AExt, BExt and Cells.
 func (w *Workspace) extend(a, b seq.Seq, sc Scoring, x int, rev bool) Extension {
 	if x < 0 {
 		x = 0
 	}
-	if swarEnabled && fitsInt16(len(a), len(b), sc, x) {
-		w.stats.SWARExts++
-		return w.extendSWAR(a, b, sc, x, rev)
-	}
-	w.stats.ScalarExts++
-	return w.extendScalar(a, b, sc, x, rev)
-}
-
-// extendScalar runs the X-drop extension over a and b, walking both backward
-// when rev is set — the left extension runs over reversed indices instead of
-// the reference kernel's heap-materialised reversed copies. Results (Score,
-// AExt, BExt, Cells) are identical to extendRightRef on the corresponding
-// (possibly reversed) inputs. It stays on past the SWAR kernel both as the
-// wide-range fallback and as the differential oracle the fuzz targets pin
-// the packed kernel against.
-//
-// Inner-loop structure relative to the reference: the three window-membership
-// tests per cell are replaced by peeled first/last columns (only the middle
-// columns have all three moves in-window), the per-cell sub() call by the
-// precomputed substitution row, the per-cell cells++ by one per-row addition,
-// and the per-cell best-x recomputation by a threshold updated only when
-// best improves. The diagonal and left DP inputs are carried in registers.
-func (w *Workspace) extendScalar(a, b seq.Seq, sc Scoring, x int, rev bool) Extension {
-	if x < 0 {
-		x = 0
-	}
-	alen, blen := len(a), len(b)
-	if !fitsInt32(alen, blen, sc, x) {
-		// Pathological scoring magnitudes: use the int-rowed reference.
+	if sc.Gap > 0 || !fitsInt32(len(a), len(b), sc, x) {
+		w.stats.RefExts++
 		if rev {
 			return extendRightRef(reverse(a), reverse(b), sc, x)
 		}
 		return extendRightRef(a, b, sc, x)
 	}
+	w.stats.RowExts++
+	return w.extendRow(a, b, sc, x, rev)
+}
+
+// extendRow is the int32 row kernel: the reference recurrence evaluated row
+// by row over the live window, with the left extension walking reversed
+// indices instead of reversed copies. Results (Score, AExt, BExt, Cells)
+// are identical to extendRightRef on the corresponding (possibly reversed)
+// inputs.
+//
+// Deferred in-row pruning. The reference prunes each cell against
+// best−x, where best may rise mid-row, so its left move carries a pruned
+// value through a chain that also tests and updates best. Here the middle
+// columns (rowSpan) carry the left move unpruned, prune each stored cell
+// against the row-start threshold t0, and track the row max, so the only
+// loop-carried chain is left → left+gap → max. This is exact because
+// thresholds never fall within a row: a cell the exact rule prunes lies
+// below the current threshold, so everything its unpruned carry gives later
+// columns (less a gap each) lies lower still and is pruned either way. On a
+// row where best does not rise every threshold is t0, so the stored row is
+// already exact. A row whose max beats best is replayed from the first
+// column that beats it: a running max re-prunes the stored cells below
+// max−x and the first column of the row max becomes (bestI, bestJ). A row
+// is dead exactly when its max is below t0.
+func (w *Workspace) extendRow(a, b seq.Seq, sc Scoring, x int, rev bool) Extension {
+	alen, blen := len(a), len(b)
 	w.ensure(sc, blen)
+	w.setB(b, rev)
 	gap := int32(sc.Gap)
 	x32 := int32(x)
-	prev, cur := w.prev[:blen+1], w.cur[:blen+1]
+	prev, cur, codes := w.prev[:blen+1], w.cur[:blen+1], w.bcode[:blen+1]
 
 	best, bestI, bestJ := int32(0), 0, 0
-	thresh := -x32
 	cells := 0
 
 	// Row 0: gaps in a only. Cells here are not counted (reference
@@ -194,16 +212,11 @@ func (w *Workspace) extendScalar(a, b seq.Seq, sc Scoring, x int, rev bool) Exte
 	s := int32(0)
 	for j := 1; j <= blen; j++ {
 		s += gap
-		if s < thresh {
+		if s < -x32 {
 			break
 		}
 		prev[j] = s
 		hi = j
-	}
-
-	bstep := 1
-	if rev {
-		bstep = -1
 	}
 
 	plo, phi := 0, hi
@@ -221,94 +234,54 @@ func (w *Workspace) extendScalar(a, b seq.Seq, sc Scoring, x int, rev bool) Exte
 		if rev {
 			ca = a[alen-i]
 		}
-		if ca > seq.N {
-			ca = seq.N // any out-of-alphabet code scores like N
-		}
-		srow := &w.sub[ca]
-
-		// b index of column lo's base: b[lo-1] forward, b[blen-lo] reversed.
-		bj := lo - 1
-		if rev {
-			bj = blen - lo
-		}
+		srow := &w.sub[min(ca, seq.N)]
+		t0 := best - x32
 
 		// Column lo: only the vertical move is in-window (diagonal and left
 		// would read column lo-1, below the live window).
-		v := prev[lo] + gap
-		if v < thresh {
-			v = negInf32
-		}
-		cur[lo] = v
-		rowBest := v
-		if v > best {
-			best, bestI, bestJ = v, i, lo
-			thresh = best - x32
-		}
-		left := v
-		diag := prev[lo]
-		bj += bstep
+		left := prev[lo] + gap
+		rowMax := left
+		cur[lo] = prune(left, t0)
 
 		// Middle columns (lo, mid]: all three moves are in-window.
 		mid := hi
 		if tail {
 			mid = hi - 1
 		}
-		for j := lo + 1; j <= mid; j++ {
-			up := prev[j]
-			cb := b[bj]
-			if cb > seq.N {
-				cb = seq.N
-			}
-			v := diag + srow[cb]
-			if u := up + gap; u > v {
-				v = u
-			}
-			if l := left + gap; l > v {
-				v = l
-			}
-			if v < thresh {
-				v = negInf32
-			}
-			cur[j] = v
-			if v > rowBest {
-				rowBest = v
-			}
-			if v > best {
-				best, bestI, bestJ = v, i, j
-				thresh = best - x32
-			}
-			diag = up
-			left = v
-			bj += bstep
+		if mid > lo {
+			var m int32
+			left, m = rowSpan(cur[lo+1:mid+1], prev[lo:mid], prev[lo+1:mid+1],
+				codes[lo+1:mid+1], srow, left, gap, t0)
+			rowMax = max(rowMax, m)
 		}
 
 		// Column phi+1, when it exists: the previous row ends at phi, so
 		// there is no vertical move.
 		if tail {
-			cb := b[bj]
-			if cb > seq.N {
-				cb = seq.N
+			v := max(prev[hi-1]+srow[codes[hi]&7], left+gap)
+			rowMax = max(rowMax, v)
+			cur[hi] = prune(v, t0)
+		}
+
+		if rowMax < t0 {
+			break // X-drop termination: every live cell pruned
+		}
+		if rowMax > best {
+			// Replay the exact rule from the first column that beats best.
+			j := lo
+			for cur[j] <= best {
+				j++
 			}
-			v := diag + srow[cb]
-			if l := left + gap; l > v {
-				v = l
-			}
-			if v < thresh {
-				v = negInf32
-			}
-			cur[hi] = v
-			if v > rowBest {
-				rowBest = v
-			}
-			if v > best {
-				best, bestI, bestJ = v, i, hi
-				thresh = best - x32
+			best, bestI, bestJ = cur[j], i, j
+			for j++; j <= hi; j++ {
+				if v := cur[j]; v > best {
+					best, bestJ = v, j
+				} else if v < best-x32 {
+					cur[j] = negInf32
+				}
 			}
 		}
 
-		if rowBest == negInf32 {
-			break // X-drop termination: every live cell pruned
-		}
 		// Shrink the window to live cells.
 		for lo <= hi && cur[lo] == negInf32 {
 			lo++
@@ -320,6 +293,32 @@ func (w *Workspace) extendScalar(a, b seq.Seq, sc Scoring, x int, rev bool) Exte
 		plo, phi = lo, hi
 	}
 	return Extension{Score: int(best), AExt: bestI, BExt: bestJ, Cells: cells}
+}
+
+// prune returns v, or negInf32 when v is below the threshold t.
+func prune(v, t int32) int32 {
+	if v < t {
+		return negInf32
+	}
+	return v
+}
+
+// rowSpan computes a run of middle columns of one row: cur[k] from its
+// diagonal diag[k], its vertical input up[k] and the b code codes[k],
+// with left the unpruned value of the column before the run. Each cell is
+// stored pruned against t0 while the left move carries it unpruned. It
+// returns the last unpruned value and the run's max.
+func rowSpan(cur, diag, up []int32, codes []uint8, srow *[8]int32, left, gap, t0 int32) (int32, int32) {
+	diag, up, codes = diag[:len(cur)], up[:len(cur)], codes[:len(cur)]
+	sr := *srow // a local copy: no per-cell nil check, and gap stays in a register
+	rowMax := negInf32
+	for k := range cur {
+		v := max(diag[k]+sr[codes[k]&7], up[k]+gap, left+gap)
+		left = v
+		rowMax = max(rowMax, v)
+		cur[k] = prune(v, t0)
+	}
+	return left, rowMax
 }
 
 // SeedExtend is the package-level SeedExtend running on this workspace:

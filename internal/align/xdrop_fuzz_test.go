@@ -6,16 +6,16 @@ import (
 	"gnbody/internal/seq"
 )
 
-// fuzzSeq builds a bounded sequence from arbitrary fuzz bytes (2 bits per
-// byte, so any input is valid — the fuzzer explores structure, not the
-// alphabet validator).
+// fuzzSeq builds a bounded sequence from arbitrary fuzz bytes, each byte
+// mapped onto the four bases and N, so any input is valid — the fuzzer
+// explores structure, not the alphabet validator.
 func fuzzSeq(data []byte, cap int) seq.Seq {
 	if len(data) > cap {
 		data = data[:cap]
 	}
 	s := make(seq.Seq, len(data))
 	for i, b := range data {
-		s[i] = seq.Base(b & 3)
+		s[i] = seq.Base(b % seq.NumBases)
 	}
 	return s
 }

@@ -194,11 +194,12 @@ func RunBSP(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 		// Round trip 2: aggregated read payloads back to requesters.
 		var payBytes int64
 		var sendPay [][]byte
+		var reqErr error
 		r.Timed(rt.CatOverhead, func() {
 			sendPay = make([][]byte, r.Size())
 			for src, ids := range recvReq {
-				if len(ids)%4 != 0 {
-					panic(fmt.Sprintf("core: rank %d: ragged request list from %d", r.Rank(), src))
+				if reqErr = checkReadRequest(in, r.Rank(), src, ids); reqErr != nil {
+					return
 				}
 				for off := 0; off < len(ids); off += 4 {
 					id := seq.ReadID(binary.LittleEndian.Uint32(ids[off:]))
@@ -207,6 +208,9 @@ func RunBSP(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 				payBytes += int64(len(sendPay[src]))
 			}
 		})
+		if reqErr != nil {
+			return nil, reqErr
+		}
 		r.Alloc(payBytes)
 		recvPay := r.Alltoallv(sendPay)
 		r.Free(reqBytes)
@@ -271,4 +275,22 @@ func RunBSP(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 	// snapshots.
 	r.Metrics().Supersteps += int64(out.Supersteps)
 	return out, nil
+}
+
+// checkReadRequest validates the request list ids that rank src sent to
+// rank: whole 4-byte read IDs, each inside rank's partition. The bytes come
+// from a peer, so a bad list is an error, never a panic in the store or
+// the codec.
+func checkReadRequest(in *Input, rank, src int, ids []byte) error {
+	if len(ids)%4 != 0 {
+		return fmt.Errorf("core: rank %d: ragged request list from %d", rank, src)
+	}
+	lo, hi := in.Part.Range(rank)
+	for off := 0; off < len(ids); off += 4 {
+		if id := int(binary.LittleEndian.Uint32(ids[off:])); id < lo || id >= hi {
+			return fmt.Errorf("core: rank %d: request from %d for read %d outside partition [%d,%d)",
+				rank, src, id, lo, hi)
+		}
+	}
+	return nil
 }

@@ -199,16 +199,18 @@ func TestCacheAllocFreeHitPath(t *testing.T) {
 
 // hashExec wraps an executor and records an FNV hash of every task's base
 // pair. Comparing the maps between a cached and an uncached run proves the
-// cache serves bases byte-identical to a fresh pull. The map is shared by
-// all ranks, hence the mutex.
+// cache serves bases byte-identical to a fresh pull. It also records which
+// rank aligned each task: the schedule the run took. The maps are shared
+// by all ranks, hence the mutex.
 type hashExec struct {
 	inner Executor
 	mu    sync.Mutex
 	sums  map[uint64]uint64
+	ranks map[uint64]int
 }
 
 func newHashExec(inner Executor) *hashExec {
-	return &hashExec{inner: inner, sums: make(map[uint64]uint64)}
+	return &hashExec{inner: inner, sums: make(map[uint64]uint64), ranks: make(map[uint64]int)}
 }
 
 func baseBytes(s seq.Seq) []byte {
@@ -226,14 +228,14 @@ func (h *hashExec) Align(r rt.Runtime, task overlap.Task, a, b seq.Seq) (align.R
 	f.Write(baseBytes(b))
 	h.mu.Lock()
 	h.sums[task.Key()] = f.Sum64()
+	h.ranks[task.Key()] = r.Rank()
 	h.mu.Unlock()
 	return h.inner.Align(r, task, a, b)
 }
 
-// runCached executes one driver over the par backend with per-rank caches
-// the test retains for post-run inspection (nil budget pointer → cache off).
-func runCached(t *testing.T, w *testWorkload, p int, mode string, exec Executor,
-	budget int64, cacheOn bool) ([]Hit, []*Result, *par.World, []*ReadCache) {
+// splitWorkload partitions the workload's reads over p ranks by size and
+// assigns each task to a rank, as runCached's drivers see them.
+func splitWorkload(t *testing.T, w *testWorkload, p int) (*partition.Partition, [][]overlap.Task) {
 	t.Helper()
 	lens := w.lens()
 	lensInt := make([]int, len(lens))
@@ -244,7 +246,59 @@ func runCached(t *testing.T, w *testWorkload, p int, mode string, exec Executor,
 	if err != nil {
 		t.Fatal(err)
 	}
-	byRank := partition.AssignTasks(w.tasks, pt)
+	return pt, partition.AssignTasks(w.tasks, pt)
+}
+
+// uncachedWire is the number of reads the cache-off drivers pull over the
+// wire on a given schedule, rebuilt from which rank aligned each task
+// (ranks, keyed by task): one pull per remote-read group a rank runs from
+// its own queue, and per group a thief steals, one pull for the group's
+// read plus one per task for the other read, each unless the read is local
+// to the thief. Stealing makes the schedule differ from run to run, so this
+// is the uncached baseline the same run would have had.
+func uncachedWire(t *testing.T, pt *partition.Partition, byRank [][]overlap.Task, ranks map[uint64]int) int {
+	t.Helper()
+	type group struct {
+		thief, victim int
+		read          seq.ReadID
+	}
+	groups := make(map[group]bool)
+	wire := 0
+	for v, tasks := range byRank {
+		for _, task := range tasks {
+			ran, ok := ranks[task.Key()]
+			if !ok {
+				t.Fatalf("task %d-%d was never aligned", task.A, task.B)
+			}
+			read, other := task.A, task.B
+			if pt.Owner(read) == v {
+				read, other = other, read
+			}
+			if pt.Owner(read) == v {
+				continue // both reads local: never fetched, never stolen
+			}
+			g := group{ran, v, read}
+			if !groups[g] {
+				groups[g] = true
+				if pt.Owner(read) != ran {
+					wire++
+				}
+			}
+			if ran != v && pt.Owner(other) != ran {
+				wire++
+			}
+		}
+	}
+	return wire
+}
+
+// runCached executes one driver over the par backend with per-rank caches
+// the test retains for post-run inspection (nil budget pointer → cache off).
+func runCached(t *testing.T, w *testWorkload, p int, mode string, exec Executor,
+	budget int64, cacheOn bool) ([]Hit, []*Result, *par.World, []*ReadCache) {
+	t.Helper()
+	lens := w.lens()
+	pt, byRank := splitWorkload(t, w, p)
 	world, err := par.NewWorld(par.Config{P: p})
 	if err != nil {
 		t.Fatal(err)
@@ -290,12 +344,17 @@ func runCached(t *testing.T, w *testWorkload, p int, mode string, exec Executor,
 // TestCacheCoherenceBattery is the lock-down: for every driver, a cached
 // run (unbounded, and with a tiny eviction-forcing budget) must produce
 // bitwise-identical hits and byte-identical task inputs to the uncached
-// run, never fetch more over the wire, and satisfy the counting invariants
-// that make the hit/miss numbers trustworthy.
+// run, never fetch more over the wire than the uncached drivers would on
+// the same schedule, and satisfy the counting invariants that make the
+// hit/miss numbers trustworthy. The bsp and async schedules are fixed by
+// the task assignment; the stealing schedule is not, so each run's wire
+// count is held to the uncached baseline of its own schedule
+// (uncachedWire, checked exactly against the uncached run).
 func TestCacheCoherenceBattery(t *testing.T) {
 	w := makeWorkload(t, 10000, 6, 47)
 	sc := align.DefaultScoring()
 	const p = 4
+	pt, byRank := splitWorkload(t, w, p)
 	for _, mode := range []string{"bsp", "async", "steal"} {
 		t.Run(mode, func(t *testing.T) {
 			offExec := newHashExec(RealExecutor{Scoring: sc, X: 15})
@@ -306,6 +365,9 @@ func TestCacheCoherenceBattery(t *testing.T) {
 			}
 			if offWire == 0 {
 				t.Fatal("workload has no remote fetches; battery is vacuous")
+			}
+			if model := uncachedWire(t, pt, byRank, offExec.ranks); model != offWire {
+				t.Fatalf("schedule model counts %d wire fetches, uncached run made %d", model, offWire)
 			}
 			for _, tc := range []struct {
 				name   string
@@ -350,8 +412,12 @@ func TestCacheCoherenceBattery(t *testing.T) {
 							t.Errorf("rank %d: %d tracked bytes leaked", rk, m.CurMem)
 						}
 					}
-					if wire > offWire {
-						t.Errorf("cache increased wire fetches: %d > %d", wire, offWire)
+					sameSched := uncachedWire(t, pt, byRank, onExec.ranks)
+					if mode != "steal" && sameSched != offWire {
+						t.Errorf("%s schedule moved: uncached baseline %d, uncached run %d", mode, sameSched, offWire)
+					}
+					if wire > sameSched {
+						t.Errorf("cache increased wire fetches: %d > %d uncached on the same schedule", wire, sameSched)
 					}
 					if tc.budget < 0 && evicts != 0 {
 						t.Errorf("unbounded cache evicted %d entries", evicts)

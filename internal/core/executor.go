@@ -65,17 +65,14 @@ func (e RealExecutor) Align(r rt.Runtime, t overlap.Task, a, b seq.Seq) (align.R
 		panic("core: invalid task reached the aligner: " + err.Error())
 	}
 	// Drain the workspace's kernel counters into the rank's metrics: a task
-	// counts as SWAR only when every extension ran packed; any scalar
-	// fallback marks the whole task.
-	ks := w.TakeStats()
+	// counts as a row-kernel task only when every extension ran on the row
+	// kernel; any reference-kernel extension marks the whole task.
 	m := r.Metrics()
-	if ks.ScalarExts > 0 {
+	if w.TakeStats().RefExts > 0 {
 		m.FallbackTasks++
-	} else if ks.SWARExts > 0 {
+	} else {
 		m.SWARTasks++
 	}
-	m.LaneCells += ks.LaneCells
-	m.LaneSlots += ks.LaneSlots
 	return res, true
 }
 

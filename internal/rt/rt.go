@@ -132,11 +132,13 @@ type Metrics struct {
 	GraphFetches   int64
 	GraphCoalesced int64
 
-	// Alignment-kernel accounting (DESIGN.md §16). SWARTasks/FallbackTasks
-	// count alignment tasks served entirely by the packed int16 kernel vs
-	// tasks where at least one extension fell back to the scalar kernel;
-	// LaneCells/LaneSlots measure packed-lane occupancy (live DP cells
-	// covered vs int16 lane slots issued for them).
+	// Alignment-kernel accounting (DESIGN.md §16). SWARTasks counts
+	// alignment tasks served entirely by the int32 row kernel, FallbackTasks
+	// tasks where at least one extension ran on the int reference kernel
+	// (inputs outside the int32 gate). The names are kept for the export
+	// schema. LaneCells/LaneSlots are retired: they measured the packed
+	// int16 kernel's lane occupancy, that kernel is gone, and nothing writes
+	// them; they stay in the schema and read 0.
 	SWARTasks     int64
 	FallbackTasks int64
 	LaneCells     int64

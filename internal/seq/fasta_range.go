@@ -97,19 +97,22 @@ func (s *offsetScanner) Err() error    { return s.sc.Err() }
 // accept, with identical lengths and names.
 func IndexReader(r io.Reader) (*FileIndex, error) {
 	sc := newOffsetScanner(r)
-	// Find the format byte, skipping leading blank lines like LoadReader.
+	// Find the format byte, skipping the same leading blanks as LoadReader
+	// (space, tab, CR, LF): other whitespace, such as '\v', is a format
+	// byte both reject.
 	for sc.Scan() {
-		text := bytes.TrimSpace(sc.Bytes())
-		if len(text) == 0 {
+		lead := bytes.TrimLeft(sc.Bytes(), " \t\r")
+		if len(lead) == 0 {
 			continue
 		}
-		switch text[0] {
+		text := bytes.TrimSpace(lead)
+		switch lead[0] {
 		case '>':
 			return indexFASTA(sc, text)
 		case '@':
 			return indexFASTQ(sc, text)
 		default:
-			return nil, fmt.Errorf("unrecognised format (starts with %q)", text[0])
+			return nil, fmt.Errorf("unrecognised format (starts with %q)", lead[0])
 		}
 	}
 	if err := sc.Err(); err != nil {

@@ -44,6 +44,8 @@ type RankMetrics struct {
 	GraphFetches   int64 `json:"graph_fetches"`
 	GraphCoalesced int64 `json:"graph_coalesced"`
 
+	// Kernel accounting (rt.Metrics): row-kernel vs reference-kernel
+	// tasks. LaneCells/LaneSlots are retired and read 0.
 	SWARTasks     int64 `json:"swar_tasks"`
 	FallbackTasks int64 `json:"fallback_tasks"`
 	LaneCells     int64 `json:"lane_cells"`
