@@ -16,7 +16,7 @@
 #   make assemble-smoke  end-to-end assembly check: error-free synthetic
 #                reads must assemble into one contig spanning the genome,
 #                byte-identical (edges and contigs) between the serial run
-#                and a race-built 4-process TCP run
+#                and race-built 4-process TCP runs in bsp and async mode
 #   make placement-smoke  topology-aware placement check: a race-built
 #                4-process TCP run in nodes of 2 under a non-identity
 #                rank→slot placement must byte-match the serial artifacts
@@ -79,6 +79,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzCacheEvict -fuzztime $(FUZZT) ./internal/core/
 	$(GO) test -fuzz=FuzzJobRequest -fuzztime $(FUZZT) ./internal/serve/
 	$(GO) test -fuzz=FuzzOverlapClassify -fuzztime $(FUZZT) ./internal/graph/
+	$(GO) test -fuzz=FuzzGraphRoundRequest -fuzztime $(FUZZT) ./internal/graph/
 
 golden:
 	$(GO) test -run TestGolden ./internal/trace/ -update
@@ -171,8 +172,8 @@ serve-smoke:
 # End-to-end assembly smoke: error-free reads sampled from a synthetic
 # genome must assemble back into one contig spanning it, and both the
 # reduced string graph's edge TSV and the contig FASTA must be
-# byte-identical between the 1-process serial run and a race-built
-# 4-process TCP run.
+# byte-identical between the 1-process serial run and race-built
+# 4-process TCP runs under both graph modes (bsp and async).
 assemble-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -race -o $$tmp/dibella ./cmd/dibella && \
@@ -183,10 +184,12 @@ assemble-smoke:
 		{ echo "assemble-smoke: layout rows != reads"; exit 1; }; \
 	args="-in $$tmp/reads.fa -k 15 -lofreq 2 -hifreq 60 -minscore 100 -x 20"; \
 	for st in reduce contigs; do \
-		$$tmp/dibella $$args -procs 1 -stages $$st -out $$tmp/$$st.serial 2>/dev/null && \
-		$$tmp/dibella $$args -dist -procs 4 -stages $$st -out $$tmp/$$st.dist 2>/dev/null && \
-		cmp $$tmp/$$st.serial $$tmp/$$st.dist && \
-		echo "assemble-smoke $$st: OK (serial == 4-rank dist)" || exit 1; \
+		$$tmp/dibella $$args -procs 1 -stages $$st -out $$tmp/$$st.serial 2>/dev/null || exit 1; \
+		for mode in bsp async; do \
+			$$tmp/dibella $$args -mode $$mode -dist -procs 4 -stages $$st -out $$tmp/$$st.$$mode 2>/dev/null && \
+			cmp $$tmp/$$st.serial $$tmp/$$st.$$mode && \
+			echo "assemble-smoke $$st $$mode: OK (serial == 4-rank dist)" || exit 1; \
+		done; \
 	done; \
 	[ "$$(grep -c '^>' $$tmp/contigs.serial)" = 1 ] || { echo "assemble-smoke: expected one contig"; exit 1; }; \
 	len=$$(sed -n '1s/.*len=\([0-9]*\).*/\1/p' $$tmp/contigs.serial); \

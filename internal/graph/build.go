@@ -147,39 +147,20 @@ func Build(r rt.Runtime, part *partition.Partition, lens []int32, hits []core.Hi
 	}
 
 	// Round 2: route every surviving edge to the owner of its From read.
-	send = make([][]byte, p)
-	r.Timed(rt.CatOverhead, func() {
-		for _, e := range cand {
-			if contained[e.From.Read()] || contained[e.To.Read()] {
-				continue
-			}
-			dst := part.Owner(e.From.Read())
-			send[dst] = appendEdge(send[dst], e)
+	keep := cand[:0]
+	for _, e := range cand {
+		if !contained[e.From.Read()] && !contained[e.To.Read()] {
+			keep = append(keep, e)
 		}
-	})
-	recv = r.Alltoallv(send)
-
-	me := r.Rank()
-	var edges []Edge
-	var decErr error
-	r.Timed(rt.CatOverhead, func() {
-		for src := 0; src < p; src++ {
-			es, err := decodeEdges(recv[src])
-			if err != nil {
-				decErr = fmt.Errorf("graph: from rank %d: %w", src, err)
-				return
-			}
-			for _, e := range es {
-				if part.Owner(e.From.Read()) != me {
-					decErr = fmt.Errorf("graph: rank %d received edge %v→%v it does not own", me, e.From, e.To)
-					return
-				}
-			}
-			edges = append(edges, es...)
+	}
+	edges, err := push(r, part, edgeRecord, keep)
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range edges {
+		if _, err := ownerOf(part, e.To); err != nil {
+			return nil, fmt.Errorf("%w (edge from %v)", err, e.From)
 		}
-	})
-	if decErr != nil {
-		return nil, decErr
 	}
 
 	g := &Graph{Part: part, Lens: lens, Contained: contained}

@@ -10,20 +10,23 @@
 //
 // Distribution: out-degrees are local (a rank owns its reads' adjacency)
 // and in-degrees are the twin's out-degree, also local — only the
-// predecessor's out-degree crosses ranks, gathered in one alltoallv.
-// Walks then follow edges wherever they lead, resolving remote vertex
-// records and remote base suffixes in one of two modes (DESIGN.md §17):
-// "bsp" (default) replays unfinished walks against a growing record
-// cache, batching each round's distinct misses into a single alltoallv
+// predecessor's out-degree crosses ranks, pushed to its owner in one
+// alltoallv. Walks then follow edges wherever they lead, fetching remote
+// vertex records and remote base suffixes through the stage's owner-keyed
+// exchange (exchange.go, DESIGN.md §17) in one of two modes: "bsp"
+// (default) replays unfinished walks against a growing record cache,
+// batching each round's distinct misses into a single alltoallv
 // request/response pair — so the fetch traffic rides the hierarchical
-// leader-relay path and its tier accounting — and defers sequence
-// assembly behind one batched suffix round; "async" pulls records
-// through the runtime's AsyncCall RPC with a per-run coalescing cache,
-// exactly like the overlap phase fetches remote reads.
+// leader-relay path and its tier accounting — and fetches every suffix
+// in one batched round; "async" fetches each record and suffix miss as
+// the walk meets it with one AsyncCall, coalesced by the same per-run
+// caches, exactly like the overlap phase fetches remote reads.
 package graph
 
 import (
+	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -64,11 +67,26 @@ type vrec struct {
 	succLen                int32
 }
 
-const (
-	reqVertex = 'v' // + vertex(8)            → outdeg(4) indeg(4) predout(4) succ(8) succlen(4)
-	reqBases  = 'b' // + vertex(8) + take(4)  → take bases, oriented suffix
-	vrecWire  = 24
-)
+// vrecWire is a vertex record's wire size: outdeg(4) indeg(4) predout(4)
+// succ(8) succlen(4).
+const vrecWire = 24
+
+// predDeg tells v's owner the out-degree of one of v's predecessors.
+type predDeg struct {
+	v   Vertex
+	out int32
+}
+
+var predDegRecord = codec[predDeg]{name: "pred-degree", size: 12,
+	put: func(dst []byte, d predDeg) []byte {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(d.v))
+		return binary.LittleEndian.AppendUint32(dst, uint32(d.out))
+	},
+	get: func(src []byte) predDeg {
+		return predDeg{Vertex(binary.LittleEndian.Uint64(src)), int32(binary.LittleEndian.Uint32(src[8:]))}
+	},
+	vertex: func(d predDeg) Vertex { return d.v },
+}
 
 // sufKey identifies one oriented suffix fetch: the vertex and how many
 // trailing bases its walk appends.
@@ -77,12 +95,30 @@ type sufKey struct {
 	take int32
 }
 
+func (k sufKey) compare(o sufKey) int {
+	if c := cmp.Compare(k.v, o.v); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.take, o.take)
+}
+
+var sufKeyCodec = codec[sufKey]{name: "suffix key", size: 12,
+	put: func(dst []byte, k sufKey) []byte {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(k.v))
+		return binary.LittleEndian.AppendUint32(dst, uint32(k.take))
+	},
+	get: func(src []byte) sufKey {
+		return sufKey{Vertex(binary.LittleEndian.Uint64(src)), int32(binary.LittleEndian.Uint32(src[8:]))}
+	},
+	vertex: func(k sufKey) Vertex { return k.v },
+}
+
 // contiger holds one rank's state for the walk phase.
 type contiger struct {
 	r     rt.Runtime
 	g     *Graph
 	store seq.Store
-	mode  string
+	x     *exchange
 	// predOut[v] for local v with indeg(v) == 1: the predecessor's
 	// out-degree (from the exchange round).
 	predOut map[Vertex]int32
@@ -92,9 +128,10 @@ type contiger struct {
 	// want collects the current bsp round's record misses (distinct
 	// remote vertices to fetch).
 	want map[Vertex]bool
-	// sufCache holds remote suffixes: filled by the batched suffix round
-	// (bsp) or lazily per RPC (async).
+	// sufCache holds every suffix the emitted contigs append.
 	sufCache map[sufKey]seq.Seq
+	recRound *round[Vertex, vrec]
+	sufRound *round[sufKey, seq.Seq]
 }
 
 func (c *contiger) localRec(v Vertex) vrec {
@@ -112,32 +149,68 @@ func (c *contiger) localRec(v Vertex) vrec {
 	return rec
 }
 
-func encodeVrec(rec vrec) []byte {
-	buf := make([]byte, vrecWire)
-	binary.LittleEndian.PutUint32(buf[0:], uint32(rec.outdeg))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(rec.indeg))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(rec.predOut))
-	binary.LittleEndian.PutUint64(buf[12:], uint64(rec.succ))
-	binary.LittleEndian.PutUint32(buf[20:], uint32(rec.succLen))
-	return buf
-}
-
-func decodeVrec(buf []byte) (vrec, error) {
-	if len(buf) != vrecWire {
-		return vrec{}, fmt.Errorf("graph: vertex record of %d bytes, want %d", len(buf), vrecWire)
+// recordRound looks up vertex records: 8-byte vertex keys, vrecWire-byte
+// answers.
+func (c *contiger) recordRound() *round[Vertex, vrec] {
+	return &round[Vertex, vrec]{name: "vertex record", tag: 'v', key: vertexKey, cmp: cmp.Compare[Vertex],
+		answer: func(dst []byte, v Vertex) ([]byte, error) {
+			rec := c.localRec(v)
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(rec.outdeg))
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(rec.indeg))
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(rec.predOut))
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(rec.succ))
+			return binary.LittleEndian.AppendUint32(dst, uint32(rec.succLen)), nil
+		},
+		decode: func(_ Vertex, buf []byte) (vrec, int, error) {
+			if len(buf) < vrecWire {
+				return vrec{}, 0, errTruncated("vertex record")
+			}
+			return vrec{
+				outdeg:  int32(binary.LittleEndian.Uint32(buf[0:])),
+				indeg:   int32(binary.LittleEndian.Uint32(buf[4:])),
+				predOut: int32(binary.LittleEndian.Uint32(buf[8:])),
+				succ:    Vertex(binary.LittleEndian.Uint64(buf[12:])),
+				succLen: int32(binary.LittleEndian.Uint32(buf[20:])),
+			}, vrecWire, nil
+		},
 	}
-	return vrec{
-		outdeg:  int32(binary.LittleEndian.Uint32(buf[0:])),
-		indeg:   int32(binary.LittleEndian.Uint32(buf[4:])),
-		predOut: int32(binary.LittleEndian.Uint32(buf[8:])),
-		succ:    Vertex(binary.LittleEndian.Uint64(buf[12:])),
-		succLen: int32(binary.LittleEndian.Uint32(buf[20:])),
-	}, nil
 }
 
-// orientedSuffix returns the last take bases of the vertex's oriented
-// sequence: the forward read's tail, or for a reverse vertex the reverse
-// complement of the read's head.
+// suffixRound looks up oriented suffixes: 12-byte (vertex, take) keys; an
+// answer is a uint32 length, then that many bases.
+func (c *contiger) suffixRound() *round[sufKey, seq.Seq] {
+	return &round[sufKey, seq.Seq]{name: "suffix", tag: 'b', key: sufKeyCodec, cmp: sufKey.compare,
+		answer: func(dst []byte, k sufKey) ([]byte, error) {
+			if k.take < 0 {
+				return nil, fmt.Errorf("graph: suffix of %d bases requested for %v", k.take, k.v)
+			}
+			s := orientedSuffix(c.store.Get(k.v.Read()).Seq, k.v.Rev(), k.take)
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
+			for _, b := range s {
+				dst = append(dst, byte(b))
+			}
+			return dst, nil
+		},
+		decode: func(_ sufKey, buf []byte) (seq.Seq, int, error) {
+			if len(buf) < 4 {
+				return nil, 0, errTruncated("suffix")
+			}
+			n := binary.LittleEndian.Uint32(buf)
+			if uint64(len(buf)-4) < uint64(n) {
+				return nil, 0, errTruncated("suffix")
+			}
+			s := make(seq.Seq, n)
+			for i := range s {
+				s[i] = seq.Base(buf[4+i])
+			}
+			return s, 4 + int(n), nil
+		},
+	}
+}
+
+// orientedSuffix returns the last take bases (take ≥ 0) of the vertex's
+// oriented sequence: the forward read's tail, or for a reverse vertex the
+// reverse complement of the read's head.
 func orientedSuffix(rd seq.Seq, rev bool, take int32) seq.Seq {
 	if int(take) > len(rd) {
 		take = int32(len(rd))
@@ -150,101 +223,22 @@ func orientedSuffix(rd seq.Seq, rev bool, take int32) seq.Seq {
 	return rd[:take].ReverseComplement()
 }
 
-// serve answers walk-phase RPCs for this rank's vertices.
-func (c *contiger) serve(req []byte) []byte {
-	if len(req) < 9 {
-		panic(fmt.Sprintf("graph: contig request of %d bytes", len(req)))
-	}
-	v := Vertex(binary.LittleEndian.Uint64(req[1:]))
-	switch req[0] {
-	case reqVertex:
-		return encodeVrec(c.localRec(v))
-	case reqBases:
-		take := int32(binary.LittleEndian.Uint32(req[9:]))
-		rd := c.store.Get(v.Read())
-		s := orientedSuffix(rd.Seq, v.Rev(), take)
-		out := make([]byte, len(s))
-		for i, b := range s {
-			out[i] = byte(b)
-		}
-		return out
-	}
-	panic(fmt.Sprintf("graph: unknown contig request tag %q", req[0]))
-}
-
-// rec resolves a vertex record on the async path: locally, from the
-// coalescing cache, or over RPC.
-func (c *contiger) rec(v Vertex) vrec {
+// record resolves v's vertex record: locally, from the run's cache or
+// over the wire. Under async a miss is fetched at once; under bsp it is
+// noted in want for the next replay round and reported as not done.
+func (c *contiger) record(v Vertex) (vrec, bool, error) {
 	if c.g.Part.Owner(v.Read()) == c.r.Rank() {
-		return c.localRec(v)
+		return c.localRec(v), true, nil
 	}
-	if out, ok := c.recCache[v]; ok {
-		c.r.Metrics().GraphCoalesced++
-		return out
+	if c.x.async {
+		err := fetch(c.x, c.recRound, []Vertex{v}, c.recCache)
+		return c.recCache[v], err == nil, err
 	}
-	req := make([]byte, 9)
-	req[0] = reqVertex
-	binary.LittleEndian.PutUint64(req[1:], uint64(v))
-	var out vrec
-	var err error
-	c.r.AsyncCall(c.g.Part.Owner(v.Read()), req, func(resp []byte) {
-		out, err = decodeVrec(resp)
-	})
-	c.r.Drain(0)
-	if err != nil {
-		panic(err)
-	}
-	c.recCache[v] = out
-	c.r.Metrics().GraphFetches++
-	return out
-}
-
-// tryRec resolves a vertex record on the bsp path: locally or from the
-// replay cache. A miss is noted in want for the next fetch round and
-// reported as incomplete; the caller's walk replays after the round.
-func (c *contiger) tryRec(v Vertex) (vrec, bool) {
-	if c.g.Part.Owner(v.Read()) == c.r.Rank() {
-		return c.localRec(v), true
-	}
-	if rec, ok := c.recCache[v]; ok {
-		c.r.Metrics().GraphCoalesced++
-		return rec, true
+	if rec, ok := recall(c.r, c.recCache, v); ok {
+		return rec, true, nil
 	}
 	c.want[v] = true
-	return vrec{}, false
-}
-
-// suffix resolves the last take oriented bases of v's read: locally,
-// from the suffix cache (which the bsp batched round pre-fills — a bsp
-// miss here is a protocol bug), or over RPC in async mode.
-func (c *contiger) suffix(v Vertex, take int32) seq.Seq {
-	if c.g.Part.Owner(v.Read()) == c.r.Rank() {
-		return orientedSuffix(c.store.Get(v.Read()).Seq, v.Rev(), take)
-	}
-	if s, ok := c.sufCache[sufKey{v, take}]; ok {
-		if c.mode == "async" {
-			c.r.Metrics().GraphCoalesced++
-		}
-		return s
-	}
-	if c.mode != "async" {
-		panic(fmt.Sprintf("graph: suffix %v/%d missing from batched round", v, take))
-	}
-	req := make([]byte, 13)
-	req[0] = reqBases
-	binary.LittleEndian.PutUint64(req[1:], uint64(v))
-	binary.LittleEndian.PutUint32(req[9:], uint32(take))
-	var out seq.Seq
-	c.r.AsyncCall(c.g.Part.Owner(v.Read()), req, func(resp []byte) {
-		out = make(seq.Seq, len(resp))
-		for i, b := range resp {
-			out[i] = seq.Base(b)
-		}
-	})
-	c.r.Drain(0)
-	c.sufCache[sufKey{v, take}] = out
-	c.r.Metrics().GraphFetches++
-	return out
+	return vrec{}, false, nil
 }
 
 // mergeable: v continues its predecessor's contig rather than starting
@@ -272,11 +266,11 @@ type pendContig struct {
 	circular bool
 }
 
-// tryLinear attempts the linear walk from v0 against get. done=false
-// means a remote record was unavailable (bsp: the miss is noted in want
-// and the walk replays next round); otherwise pend is the finished walk,
-// nil when v0 does not emit.
-func (c *contiger) tryLinear(v0 Vertex, maxSteps, minReads int, get func(Vertex) (vrec, bool)) (pend *pendContig, done bool, err error) {
+// tryLinear attempts the linear walk from v0. done=false means a remote
+// record was unavailable (bsp: the miss is noted in want and the walk
+// replays next round); otherwise pend is the finished walk, nil when v0
+// does not emit.
+func (c *contiger) tryLinear(v0 Vertex, maxSteps, minReads int) (pend *pendContig, done bool, err error) {
 	rec0 := c.localRec(v0)
 	if mergeable(rec0) {
 		return nil, true, nil // interior of some other walk
@@ -286,9 +280,9 @@ func (c *contiger) tryLinear(v0 Vertex, maxSteps, minReads int, get func(Vertex)
 	cur := rec0
 	for cur.outdeg == 1 && len(path) < maxSteps {
 		w, l := cur.succ, cur.succLen
-		wrec, ok := get(w)
+		wrec, ok, err := c.record(w)
 		if !ok {
-			return nil, false, nil
+			return nil, err != nil, err
 		}
 		// Given cur's out-degree is 1, w merges iff its in-degree is 1.
 		if wrec.indeg != 1 {
@@ -311,7 +305,7 @@ func (c *contiger) tryLinear(v0 Vertex, maxSteps, minReads int, get func(Vertex)
 // vertex is mergeable that no linear walk enters. The minimum vertex of
 // the cycle emits; walks from larger vertices abort on first sight of a
 // smaller one, and the twin cycle is suppressed by the same ≤ rule.
-func (c *contiger) tryCycle(v0 Vertex, maxSteps int, get func(Vertex) (vrec, bool)) (pend *pendContig, done bool, err error) {
+func (c *contiger) tryCycle(v0 Vertex, maxSteps int) (pend *pendContig, done bool, err error) {
 	rec0 := c.localRec(v0)
 	if !mergeable(rec0) || rec0.outdeg != 1 {
 		return nil, true, nil
@@ -330,9 +324,9 @@ func (c *contiger) tryCycle(v0 Vertex, maxSteps int, get func(Vertex) (vrec, boo
 		if w < v0 {
 			break // a smaller cycle vertex will emit
 		}
-		wrec, ok := get(w)
+		wrec, ok, err := c.record(w)
 		if !ok {
-			return nil, false, nil
+			return nil, err != nil, err
 		}
 		if !mergeable(wrec) || wrec.outdeg != 1 {
 			break // not a pure cycle: the linear pass covers it
@@ -353,225 +347,75 @@ func (c *contiger) tryCycle(v0 Vertex, maxSteps int, get func(Vertex) (vrec, boo
 	return &pendContig{path: path, lens: lens, circular: true}, true, nil
 }
 
-// replayRounds drives one bsp walk phase: replay every unfinished start
-// against the record cache, allreduce the global miss count, and fetch
-// each round's distinct misses in one alltoallv pair — until no rank
-// misses. A rank that hits a walk error keeps serving rounds (the
-// collectives must stay matched across ranks) and surfaces the error
-// after the phase drains.
-func (c *contiger) replayRounds(starts []Vertex, attempt func(Vertex) (*pendContig, bool, error)) ([]*pendContig, error) {
+// walk runs one walk phase from every start. Under async each record
+// miss is fetched as the walk meets it, so one pass finishes every walk.
+// Under bsp the phase replays unfinished starts against the record cache,
+// allreduces the global miss count and fetches each round's distinct
+// misses in one alltoallv pair — one superstep per round — until no rank
+// misses. A rank whose walk fails keeps serving rounds (the collectives
+// must stay matched across ranks) and surfaces the error after the phase
+// drains.
+func (c *contiger) walk(starts []Vertex, attempt func(Vertex) (*pendContig, bool, error)) ([]*pendContig, error) {
 	r := c.r
 	var pends []*pendContig
 	var walkErr error
 	pending := starts
 	for {
-		if walkErr == nil {
-			var next []Vertex
-			for _, v0 := range pending {
-				pc, done, err := attempt(v0)
-				if err != nil {
-					walkErr = err
-					break
-				}
-				if !done {
-					next = append(next, v0)
-					continue
-				}
-				if pc != nil {
-					pends = append(pends, pc)
-				}
+		var next []Vertex
+		for _, v0 := range pending {
+			pc, done, err := attempt(v0)
+			if err != nil {
+				walkErr = err
+				break
 			}
-			pending = next
+			if !done {
+				next = append(next, v0)
+				continue
+			}
+			if pc != nil {
+				pends = append(pends, pc)
+			}
 		}
+		pending = next
 		if walkErr != nil {
 			pends, pending = nil, nil
 			clear(c.want)
 		}
-		if r.Allreduce(int64(len(c.want)), rt.OpSum) == 0 {
-			break
+		if c.x.async || r.Allreduce(int64(len(c.want)), rt.OpSum) == 0 {
+			return pends, walkErr
 		}
-		if err := c.fetchRecords(); err != nil && walkErr == nil {
-			walkErr = err
-		}
-	}
-	return pends, walkErr
-}
-
-// fetchRecords resolves this round's record misses: one 8-byte request
-// per distinct remote vertex, answered in request order with vrecWire
-// bytes each. Both legs ride the alltoallv path, so hierarchical
-// leader-relay aggregation and tier-byte accounting apply to the walk
-// phase exactly as to the overlap exchange.
-func (c *contiger) fetchRecords() error {
-	r := c.r
-	p := r.Size()
-	perOwner := make([][]Vertex, p)
-	req := make([][]byte, p)
-	r.Timed(rt.CatOverhead, func() {
+		keys := make([]Vertex, 0, len(c.want))
 		for v := range c.want {
-			o := c.g.Part.Owner(v.Read())
-			perOwner[o] = append(perOwner[o], v)
+			keys = append(keys, v)
 		}
-		for o, ids := range perOwner {
-			if len(ids) == 0 {
-				continue
-			}
-			SortVertices(ids)
-			buf := make([]byte, 0, 8*len(ids))
-			for _, v := range ids {
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-			}
-			req[o] = buf
+		clear(c.want)
+		r.Metrics().Supersteps++
+		if err := fetch(c.x, c.recRound, keys, c.recCache); err != nil && walkErr == nil {
+			walkErr, pends, pending = err, nil, nil
 		}
-	})
-	inbound := r.Alltoallv(req)
-	resp := make([][]byte, p)
-	var srvErr error
-	r.Timed(rt.CatOverhead, func() {
-		for src, buf := range inbound {
-			if len(buf)%8 != 0 {
-				srvErr = fmt.Errorf("graph: vertex-record request from rank %d is %d bytes", src, len(buf))
-				return
-			}
-			if len(buf) == 0 {
-				continue
-			}
-			out := make([]byte, 0, vrecWire/8*len(buf))
-			for off := 0; off < len(buf); off += 8 {
-				v := Vertex(binary.LittleEndian.Uint64(buf[off:]))
-				out = append(out, encodeVrec(c.localRec(v))...)
-			}
-			resp[src] = out
-		}
-	})
-	// The response leg runs even on a malformed request so peers'
-	// collectives stay matched; the error surfaces after.
-	answers := r.Alltoallv(resp)
-	if srvErr != nil {
-		return srvErr
 	}
-	met := r.Metrics()
-	for o, ids := range perOwner {
-		if len(ids) == 0 {
-			continue
-		}
-		buf := answers[o]
-		if len(buf) != vrecWire*len(ids) {
-			return fmt.Errorf("graph: rank %d answered %d record bytes, want %d", o, len(buf), vrecWire*len(ids))
-		}
-		for i, v := range ids {
-			rec, err := decodeVrec(buf[i*vrecWire : (i+1)*vrecWire])
-			if err != nil {
-				return err
-			}
-			c.recCache[v] = rec
-		}
-		met.GraphFetches += int64(len(ids))
-	}
-	clear(c.want)
-	met.Supersteps++
-	return nil
 }
 
-// fetchSuffixes resolves every remote suffix the pending contigs need in
-// one batched round: 12-byte (vertex, take) requests — coalesced across
-// all walks — answered with length-prefixed base payloads in request
-// order. Collective; ranks with nothing pending still serve.
+// fetchSuffixes fetches every suffix the pending contigs append. Under
+// bsp they cross in one batched round, coalesced across all walks — one
+// superstep; collective, so ranks with nothing pending still serve. Under
+// async each miss is fetched in emission order.
 func (c *contiger) fetchSuffixes(pends []*pendContig) error {
-	r := c.r
-	p, me := r.Size(), r.Rank()
-	met := r.Metrics()
-	need := make(map[sufKey]bool)
-	perOwner := make([][]sufKey, p)
-	req := make([][]byte, p)
-	r.Timed(rt.CatOverhead, func() {
-		for _, pc := range pends {
-			for i, l := range pc.lens {
-				w := pc.path[i+1]
-				if c.g.Part.Owner(w.Read()) == me {
-					continue
-				}
-				k := sufKey{w, l}
-				if need[k] {
-					met.GraphCoalesced++
-					continue
-				}
-				need[k] = true
-			}
+	var keys []sufKey
+	for _, pc := range pends {
+		for i, l := range pc.lens {
+			keys = append(keys, sufKey{pc.path[i+1], l})
 		}
-		for k := range need {
-			o := c.g.Part.Owner(k.v.Read())
-			perOwner[o] = append(perOwner[o], k)
-		}
-		for o, ks := range perOwner {
-			if len(ks) == 0 {
-				continue
-			}
-			sort.Slice(ks, func(i, j int) bool {
-				if ks[i].v != ks[j].v {
-					return ks[i].v < ks[j].v
-				}
-				return ks[i].take < ks[j].take
-			})
-			buf := make([]byte, 0, 12*len(ks))
-			for _, k := range ks {
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(k.v))
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(k.take))
-			}
-			req[o] = buf
-		}
-	})
-	inbound := r.Alltoallv(req)
-	resp := make([][]byte, p)
-	var srvErr error
-	r.Timed(rt.CatOverhead, func() {
-		for src, buf := range inbound {
-			if len(buf)%12 != 0 {
-				srvErr = fmt.Errorf("graph: suffix request from rank %d is %d bytes", src, len(buf))
-				return
-			}
-			var out []byte
-			for off := 0; off < len(buf); off += 12 {
-				v := Vertex(binary.LittleEndian.Uint64(buf[off:]))
-				take := int32(binary.LittleEndian.Uint32(buf[off+8:]))
-				s := orientedSuffix(c.store.Get(v.Read()).Seq, v.Rev(), take)
-				out = binary.LittleEndian.AppendUint32(out, uint32(len(s)))
-				for _, b := range s {
-					out = append(out, byte(b))
-				}
-			}
-			resp[src] = out
-		}
-	})
-	answers := r.Alltoallv(resp)
-	if srvErr != nil {
-		return srvErr
 	}
-	for o, ks := range perOwner {
-		buf := answers[o]
-		off := 0
-		for _, k := range ks {
-			if off+4 > len(buf) {
-				return fmt.Errorf("graph: truncated suffix response from rank %d", o)
-			}
-			n := int(binary.LittleEndian.Uint32(buf[off:]))
-			off += 4
-			if off+n > len(buf) {
-				return fmt.Errorf("graph: truncated suffix response from rank %d", o)
-			}
-			s := make(seq.Seq, n)
-			for i := 0; i < n; i++ {
-				s[i] = seq.Base(buf[off+i])
-			}
-			off += n
-			c.sufCache[k] = s
-		}
-		if off != len(buf) {
-			return fmt.Errorf("graph: %d trailing suffix bytes from rank %d", len(buf)-off, o)
-		}
-		met.GraphFetches += int64(len(ks))
+	if !c.x.async {
+		c.r.Metrics().Supersteps++
+		return fetch(c.x, c.sufRound, keys, c.sufCache)
 	}
-	met.Supersteps++
+	for i := range keys {
+		if err := fetch(c.x, c.sufRound, keys[i:i+1], c.sufCache); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -581,16 +425,12 @@ func (c *contiger) fetchSuffixes(pends []*pendContig) error {
 // result is a pure function of the global graph — mode, rank count and
 // placement never change which contigs emerge.
 func Contigs(r rt.Runtime, g *Graph, store seq.Store, cfg ContigConfig) ([]Contig, error) {
-	p, me := r.Size(), r.Rank()
-	n := len(g.Lens)
-	maxSteps := 2*n + 2 // any simple oriented path is shorter
-
-	switch cfg.Mode {
-	case "", "bsp", "async":
-	default:
-		return nil, fmt.Errorf("graph: unknown contig mode %q", cfg.Mode)
+	m, err := parseMode(cfg.Mode)
+	if err != nil {
+		return nil, err
 	}
-	c := &contiger{r: r, g: g, store: store, mode: cfg.Mode,
+	maxSteps := 2*len(g.Lens) + 2 // any simple oriented path is shorter
+	c := &contiger{r: r, g: g, store: store,
 		predOut:  make(map[Vertex]int32),
 		recCache: make(map[Vertex]vrec),
 		want:     make(map[Vertex]bool),
@@ -598,131 +438,61 @@ func Contigs(r rt.Runtime, g *Graph, store seq.Store, cfg ContigConfig) ([]Conti
 
 	// Exchange round: every edge (w→x) tells x's owner w's out-degree, so
 	// owners know predOut for their indeg-1 vertices.
-	send := make([][]byte, p)
-	r.Timed(rt.CatOverhead, func() {
-		for _, es := range g.Adj {
-			od := int32(len(es))
-			for _, e := range es {
-				dst := g.Part.Owner(e.To.Read())
-				var rec [12]byte
-				binary.LittleEndian.PutUint64(rec[0:], uint64(e.To))
-				binary.LittleEndian.PutUint32(rec[8:], uint32(od))
-				send[dst] = append(send[dst], rec[:]...)
-			}
+	var degs []predDeg
+	for _, es := range g.Adj {
+		for _, e := range es {
+			degs = append(degs, predDeg{e.To, int32(len(es))})
 		}
-	})
-	recv := r.Alltoallv(send)
-	var exErr error
-	r.Timed(rt.CatOverhead, func() {
-		for src := 0; src < p; src++ {
-			buf := recv[src]
-			if len(buf)%12 != 0 {
-				exErr = fmt.Errorf("graph: pred-degree payload from rank %d is %d bytes", src, len(buf))
-				return
-			}
-			for off := 0; off < len(buf); off += 12 {
-				v := Vertex(binary.LittleEndian.Uint64(buf[off:]))
-				od := int32(binary.LittleEndian.Uint32(buf[off+8:]))
-				// Only consulted when indeg(v) == 1 (unique record); keep
-				// the max so duplicates cannot make the value order-dependent.
-				if cur, ok := c.predOut[v]; !ok || od > cur {
-					c.predOut[v] = od
-				}
-			}
+	}
+	got, pushErr := push(r, g.Part, predDegRecord, degs)
+	for _, d := range got {
+		// Only consulted when indeg(v) == 1 (unique record); keep the max
+		// so duplicates cannot make the value order-dependent.
+		if cur, ok := c.predOut[d.v]; !ok || d.out > cur {
+			c.predOut[d.v] = d.out
 		}
-	})
-	if exErr != nil {
-		return nil, exErr
 	}
 
 	// Walk phase. Every non-contained local read starts a walk in both
-	// orientations; the attempt functions decide which starts emit.
-	lo, hi := g.Part.Range(me)
-	starts := make([]Vertex, 0, 2*(hi-lo))
-	for id := lo; id < hi; id++ {
-		if g.Contained[id] {
-			continue
+	// orientations; the attempt functions decide which starts emit. A rank
+	// that has already failed walks nothing but still serves its peers.
+	var starts []Vertex
+	if pushErr == nil {
+		lo, hi := g.Part.Range(r.Rank())
+		for id := lo; id < hi; id++ {
+			if !g.Contained[id] {
+				starts = append(starts, V(seq.ReadID(id), false), V(seq.ReadID(id), true))
+			}
 		}
-		starts = append(starts, V(seq.ReadID(id), false), V(seq.ReadID(id), true))
 	}
-
-	var pends []*pendContig
-	var walkErr error
-	if cfg.Mode == "async" {
-		// RPC service up, then walk local starts to completion one by one.
-		get := func(w Vertex) (vrec, bool) { return c.rec(w), true }
-		r.Serve(c.serve)
-		r.Barrier()
-		for _, v0 := range starts {
-			pc, _, err := c.tryLinear(v0, maxSteps, cfg.MinReads, get)
-			if err != nil {
-				walkErr = err
-				break
-			}
-			if pc != nil {
-				pends = append(pends, pc)
-			}
-		}
-		if walkErr == nil {
-			for _, v0 := range starts {
-				pc, _, err := c.tryCycle(v0, maxSteps, get)
-				if err != nil {
-					walkErr = err
-					break
-				}
-				if pc != nil {
-					pends = append(pends, pc)
-				}
-			}
-		}
-		// Assemble before the exit barrier: emission pulls remote
-		// suffixes over RPC and peers must still be serving.
-		var contigs []Contig
-		if walkErr == nil {
-			for _, pc := range pends {
-				contigs = append(contigs, c.emit(pc.path, pc.lens, pc.circular))
-			}
-		}
-		r.Drain(0)
-		r.Barrier() // keep serving peers still walking
-		if walkErr != nil {
-			return nil, walkErr
-		}
-		return finishContigs(r, contigs, cfg)
-	}
-
-	// bsp: replay both phases round-by-round, then resolve all suffixes
-	// in one batched exchange before assembling. Phases run even after a
-	// local error so the collectives stay matched across ranks.
-	pends, walkErr = c.replayRounds(starts, func(v0 Vertex) (*pendContig, bool, error) {
-		return c.tryLinear(v0, maxSteps, cfg.MinReads, c.tryRec)
+	c.recRound, c.sufRound = c.recordRound(), c.suffixRound()
+	c.x = openExchange(r, g.Part, m, c.recRound, c.sufRound)
+	pends, linErr := c.walk(starts, func(v0 Vertex) (*pendContig, bool, error) {
+		return c.tryLinear(v0, maxSteps, cfg.MinReads)
 	})
-	cycPends, cycErr := c.replayRounds(starts, func(v0 Vertex) (*pendContig, bool, error) {
-		return c.tryCycle(v0, maxSteps, c.tryRec)
+	if linErr != nil {
+		starts = nil
+	}
+	cyc, cycErr := c.walk(starts, func(v0 Vertex) (*pendContig, bool, error) {
+		return c.tryCycle(v0, maxSteps)
 	})
-	if walkErr == nil {
-		walkErr = cycErr
-	}
-	pends = append(pends, cycPends...)
+	walkErr := errors.Join(pushErr, linErr, cycErr)
 	if walkErr != nil {
-		pends = nil
+		pends, cyc = nil, nil
 	}
-	if err := c.fetchSuffixes(pends); err != nil && walkErr == nil {
-		walkErr = err
-	}
-	if walkErr != nil {
-		return nil, walkErr
+	pends = append(pends, cyc...)
+	sufErr := c.fetchSuffixes(pends)
+	if err := errors.Join(walkErr, sufErr, c.x.close()); err != nil {
+		return nil, err
 	}
 	var contigs []Contig
 	for _, pc := range pends {
-		contigs = append(contigs, c.emit(pc.path, pc.lens, pc.circular))
+		ct, err := c.emit(pc)
+		if err != nil {
+			return nil, err
+		}
+		contigs = append(contigs, ct)
 	}
-	return finishContigs(r, contigs, cfg)
-}
-
-// finishContigs orders the walk output and applies the cost model.
-func finishContigs(r rt.Runtime, contigs []Contig, cfg ContigConfig) ([]Contig, error) {
-
 	sort.Slice(contigs, func(i, j int) bool { return contigs[i].Start < contigs[j].Start })
 	total := 0
 	for _, ct := range contigs {
@@ -734,15 +504,19 @@ func finishContigs(r rt.Runtime, contigs []Contig, cfg ContigConfig) ([]Contig, 
 
 // emit assembles the sequence of a finished walk: the full oriented first
 // read, then each extension's appended suffix.
-func (c *contiger) emit(path []Vertex, lens []int32, circular bool) Contig {
-	v0 := path[0]
+func (c *contiger) emit(pc *pendContig) (Contig, error) {
+	v0 := pc.path[0]
 	first := orientedSeq(c.store.Get(v0.Read()).Seq, v0.Rev())
-	out := make(seq.Seq, 0, len(first)+sum32(lens))
+	out := make(seq.Seq, 0, len(first)+sum32(pc.lens))
 	out = append(out, first...)
-	for i, l := range lens {
-		out = append(out, c.suffix(path[i+1], l)...)
+	for i, l := range pc.lens {
+		s, ok := c.sufCache[sufKey{pc.path[i+1], l}]
+		if !ok {
+			return Contig{}, fmt.Errorf("graph: suffix %v/%d missing from the suffix round", pc.path[i+1], l)
+		}
+		out = append(out, s...)
 	}
-	return Contig{Start: v0, Reads: int32(len(path)), Circular: circular, Seq: out}
+	return Contig{Start: v0, Reads: int32(len(pc.path)), Circular: pc.circular, Seq: out}, nil
 }
 
 func orientedSeq(s seq.Seq, rev bool) seq.Seq {

@@ -75,12 +75,22 @@ type Edge struct {
 const edgeWire = 20
 
 func appendEdge(dst []byte, e Edge) []byte {
-	var rec [edgeWire]byte
-	binary.LittleEndian.PutUint64(rec[0:], uint64(e.From))
-	binary.LittleEndian.PutUint64(rec[8:], uint64(e.To))
-	binary.LittleEndian.PutUint32(rec[16:], uint32(e.Len))
-	return append(dst, rec[:]...)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(e.From))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(e.To))
+	return binary.LittleEndian.AppendUint32(dst, uint32(e.Len))
 }
+
+func getEdge(src []byte) Edge {
+	return Edge{
+		From: Vertex(binary.LittleEndian.Uint64(src)),
+		To:   Vertex(binary.LittleEndian.Uint64(src[8:])),
+		Len:  int32(binary.LittleEndian.Uint32(src[16:])),
+	}
+}
+
+// edgeRecord routes an edge to the owner of its From vertex.
+var edgeRecord = codec[Edge]{name: "edge", size: edgeWire, put: appendEdge, get: getEdge,
+	vertex: func(e Edge) Vertex { return e.From }}
 
 func decodeEdges(buf []byte) ([]Edge, error) {
 	if len(buf)%edgeWire != 0 {
@@ -88,11 +98,7 @@ func decodeEdges(buf []byte) ([]Edge, error) {
 	}
 	out := make([]Edge, 0, len(buf)/edgeWire)
 	for off := 0; off < len(buf); off += edgeWire {
-		out = append(out, Edge{
-			From: Vertex(binary.LittleEndian.Uint64(buf[off:])),
-			To:   Vertex(binary.LittleEndian.Uint64(buf[off+8:])),
-			Len:  int32(binary.LittleEndian.Uint32(buf[off+16:])),
-		})
+		out = append(out, getEdge(buf[off:]))
 	}
 	return out, nil
 }

@@ -78,6 +78,8 @@ type graphRun struct {
 	edges   []Edge // union of live edges across ranks, sorted
 	reduced []Edge
 	contigs []Contig
+	// GraphFetches summed over ranks, per stage.
+	reduceFetches, contigFetches int64
 }
 
 // collect runs build → reduce → contigs on an existing world expressed as
@@ -90,28 +92,33 @@ func collectRun(t *testing.T, p int, pt *partition.Partition, w *sampledWorkload
 		built   = make([]*Graph, p)
 		reduced = make([]*Graph, p)
 		contigs = make([][]Contig, p)
+		fetched = make([][2]int64, p)
 		errs    = make([]error, p)
 	)
 	run(func(r rt.Runtime) {
 		rk := r.Rank()
+		met := r.Metrics()
 		g, err := Build(r, pt, w.lens, byRank[rk], BuildConfig{Model: model})
 		if err != nil {
 			errs[rk] = err
 			return
 		}
 		built[rk] = g
+		f0 := met.GraphFetches
 		rg, err := Reduce(r, g, ReduceConfig{Fuzz: 16, Mode: mode, Model: model})
 		if err != nil {
 			errs[rk] = err
 			return
 		}
 		reduced[rk] = rg
-		cs, err := Contigs(r, rg, store(r), ContigConfig{Model: model})
+		f1 := met.GraphFetches
+		cs, err := Contigs(r, rg, store(r), ContigConfig{Mode: mode, Model: model})
 		if err != nil {
 			errs[rk] = err
 			return
 		}
 		contigs[rk] = cs
+		fetched[rk] = [2]int64{f1 - f0, met.GraphFetches - f1}
 	})
 	out := graphRun{}
 	for rk := 0; rk < p; rk++ {
@@ -121,6 +128,8 @@ func collectRun(t *testing.T, p int, pt *partition.Partition, w *sampledWorkload
 		out.edges = append(out.edges, built[rk].EdgeList()...)
 		out.reduced = append(out.reduced, reduced[rk].EdgeList()...)
 		out.contigs = append(out.contigs, contigs[rk]...)
+		out.reduceFetches += fetched[rk][0]
+		out.contigFetches += fetched[rk][1]
 	}
 	SortEdges(out.edges)
 	SortEdges(out.reduced)
@@ -255,6 +264,54 @@ func TestGraphConformance(t *testing.T) {
 					name, len(gathered), len(got.contigs))
 			}
 		}
+	}
+
+	// Accounting is mode-independent: at 4 ranks bsp and async fetch the
+	// same number of remote records in each stage, and give the same
+	// reduced graph and contigs. GraphCoalesced legitimately differs: bsp
+	// also counts hits in its replay cache.
+	const p4 = 4
+	pt4, err := partition.BySize(lensInt, p4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scope4 := func(r rt.Runtime) seq.Store {
+		lo, hi := pt4.Range(r.Rank())
+		return seq.Scope(w.reads, lo, hi, w.lens)
+	}
+	byRank := dealHits(w.hits, p4, 1, pt4)
+	for _, backend := range []string{"par", "dist"} {
+		var runs []graphRun
+		for _, mode := range []string{"bsp", "async"} {
+			var run func(fn func(r rt.Runtime)) error
+			if backend == "par" {
+				world, err := par.NewWorld(par.Config{P: p4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				run = world.Run
+			} else {
+				world, err := dist.NewWorld(dist.Config{P: p4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer world.Close()
+				run = world.Run
+			}
+			got := collectRun(t, p4, pt4, w, byRank, mode, nil, mustRun(t, run), scope4)
+			checkRun(t, fmt.Sprintf("%s/%s/4 ranks", backend, mode), got, wantEdges, wantReduced, serial.contigs)
+			runs = append(runs, got)
+		}
+		bsp, async := runs[0], runs[1]
+		if bsp.reduceFetches == 0 || bsp.contigFetches == 0 {
+			t.Errorf("%s: no remote fetches at 4 ranks (reduce %d, contigs %d)", backend, bsp.reduceFetches, bsp.contigFetches)
+		}
+		if bsp.reduceFetches != async.reduceFetches || bsp.contigFetches != async.contigFetches {
+			t.Errorf("%s: GraphFetches differ by mode: reduce bsp %d async %d, contigs bsp %d async %d",
+				backend, bsp.reduceFetches, async.reduceFetches, bsp.contigFetches, async.contigFetches)
+		}
+		t.Logf("%s/4 ranks: GraphFetches reduce %d, contigs %d (bsp); %d, %d (async)",
+			backend, bsp.reduceFetches, bsp.contigFetches, async.reduceFetches, async.contigFetches)
 	}
 }
 

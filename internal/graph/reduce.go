@@ -9,16 +9,18 @@
 //
 // Distribution: a rank can test its own edge u→x once it sees the
 // out-adjacency of every middle vertex w it points at. Those neighbour
-// lists are the only remote state, fetched either in one alltoallv
-// round-trip (bsp mode) or through the runtime's AsyncCall RPC (async
-// mode) — the same two coordination strategies the overlap phase offers,
-// which is exactly what makes the stage a drop-in for the scaling
-// experiments.
+// lists are the only remote state, fetched in one owner-keyed round
+// (exchange.go): one alltoallv request/response pair (bsp mode) or one
+// AsyncCall per owner (async mode) — the same two coordination
+// strategies the overlap phase offers, which is exactly what makes the
+// stage a drop-in for the scaling experiments. The twin marks then reach
+// their owners in one push.
 package graph
 
 import (
+	"cmp"
 	"encoding/binary"
-	"fmt"
+	"errors"
 
 	"gnbody/internal/rt"
 )
@@ -36,187 +38,76 @@ type ReduceConfig struct {
 	Model *CostModel
 }
 
-// answerAdjReq serves a batch adjacency request: req is a packed list of
-// vertex ids (8B each); the response packs, per vertex in request order,
-// a uint32 edge count followed by (To 8B, Len 4B) per edge. Vertices this
-// rank has no adjacency for (including ones it does not own) answer 0.
-func (g *Graph) answerAdjReq(req []byte) ([]byte, error) {
-	if len(req)%8 != 0 {
-		return nil, fmt.Errorf("graph: adjacency request of %d bytes", len(req))
+// adjacencyRound looks up out-adjacency: 8-byte vertex keys; an answer
+// is a uint32 edge count, then To (8B) and Len (4B) per edge.
+func (g *Graph) adjacencyRound() *round[Vertex, []Edge] {
+	return &round[Vertex, []Edge]{name: "adjacency", tag: 'a', key: vertexKey, cmp: cmp.Compare[Vertex],
+		answer: func(dst []byte, v Vertex) ([]byte, error) {
+			es := g.Adj[v]
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(es)))
+			for _, e := range es {
+				dst = binary.LittleEndian.AppendUint64(dst, uint64(e.To))
+				dst = binary.LittleEndian.AppendUint32(dst, uint32(e.Len))
+			}
+			return dst, nil
+		},
+		decode: func(v Vertex, buf []byte) ([]Edge, int, error) {
+			if len(buf) < 4 {
+				return nil, 0, errTruncated("adjacency")
+			}
+			n := int(binary.LittleEndian.Uint32(buf))
+			if (len(buf)-4)/12 < n {
+				return nil, 0, errTruncated("adjacency")
+			}
+			es := make([]Edge, n)
+			for i := range es {
+				off := 4 + 12*i
+				es[i] = Edge{From: v,
+					To:  Vertex(binary.LittleEndian.Uint64(buf[off:])),
+					Len: int32(binary.LittleEndian.Uint32(buf[off+8:]))}
+			}
+			return es, 4 + 12*n, nil
+		},
 	}
-	resp := make([]byte, 0, len(req))
-	for off := 0; off < len(req); off += 8 {
-		v := Vertex(binary.LittleEndian.Uint64(req[off:]))
-		es := g.Adj[v]
-		resp = binary.LittleEndian.AppendUint32(resp, uint32(len(es)))
-		for _, e := range es {
-			resp = binary.LittleEndian.AppendUint64(resp, uint64(e.To))
-			resp = binary.LittleEndian.AppendUint32(resp, uint32(e.Len))
-		}
-	}
-	return resp, nil
 }
 
-// parseAdjResp unpacks answerAdjReq's response into neigh[ids[i]].
-func parseAdjResp(ids []Vertex, resp []byte, neigh map[Vertex][]Edge) error {
-	off := 0
-	for _, v := range ids {
-		if off+4 > len(resp) {
-			return fmt.Errorf("graph: truncated adjacency response")
-		}
-		n := int(binary.LittleEndian.Uint32(resp[off:]))
-		off += 4
-		if off+12*n > len(resp) {
-			return fmt.Errorf("graph: truncated adjacency response")
-		}
-		es := make([]Edge, 0, n)
-		for i := 0; i < n; i++ {
-			es = append(es, Edge{
-				From: v,
-				To:   Vertex(binary.LittleEndian.Uint64(resp[off:])),
-				Len:  int32(binary.LittleEndian.Uint32(resp[off+8:])),
-			})
-			off += 12
-		}
-		neigh[v] = es
-	}
-	if off != len(resp) {
-		return fmt.Errorf("graph: %d trailing bytes in adjacency response", len(resp)-off)
-	}
-	return nil
-}
-
-// fetchNeighbors resolves the out-adjacency of every vertex in need
-// (deduplicated, sorted per owner). Local vertices are answered from
-// g.Adj; remote ones via one alltoallv exchange (bsp) or one batched
-// AsyncCall per owner (async).
-func (g *Graph) fetchNeighbors(r rt.Runtime, mode string, need map[Vertex]bool) (map[Vertex][]Edge, error) {
-	p, me := r.Size(), r.Rank()
-	neigh := make(map[Vertex][]Edge, len(need))
-	perOwner := make([][]Vertex, p)
-	for v := range need {
-		if o := g.Part.Owner(v.Read()); o == me {
-			neigh[v] = g.Adj[v]
-		} else {
-			perOwner[o] = append(perOwner[o], v)
-		}
-	}
-	for _, ids := range perOwner {
-		SortVertices(ids)
-		// Each distinct remote vertex costs exactly one wire record per
-		// requesting rank, whatever the mode.
-		r.Metrics().GraphFetches += int64(len(ids))
-	}
-
-	switch mode {
-	case "", "bsp":
-		req := make([][]byte, p)
-		for o, ids := range perOwner {
-			if len(ids) == 0 {
-				continue
-			}
-			buf := make([]byte, 0, 8*len(ids))
-			for _, v := range ids {
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-			}
-			req[o] = buf
-		}
-		inbound := r.Alltoallv(req)
-		resp := make([][]byte, p)
-		var err error
-		r.Timed(rt.CatOverhead, func() {
-			for src := 0; src < p; src++ {
-				if len(inbound[src]) == 0 {
-					continue
-				}
-				resp[src], err = g.answerAdjReq(inbound[src])
-				if err != nil {
-					return
-				}
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		answers := r.Alltoallv(resp)
-		for o, ids := range perOwner {
-			if len(ids) == 0 {
-				continue
-			}
-			if err := parseAdjResp(ids, answers[o], neigh); err != nil {
-				return nil, fmt.Errorf("from rank %d: %w", o, err)
-			}
-		}
-		return neigh, nil
-
-	case "async":
-		r.Serve(func(req []byte) []byte {
-			resp, err := g.answerAdjReq(req)
-			if err != nil {
-				panic(err) // a malformed peer request is a protocol bug
-			}
-			return resp
-		})
-		r.Barrier() // handler registered everywhere before anyone calls in
-		var perr error
-		for o, ids := range perOwner {
-			if len(ids) == 0 {
-				continue
-			}
-			buf := make([]byte, 0, 8*len(ids))
-			for _, v := range ids {
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-			}
-			ids := ids
-			r.AsyncCall(o, buf, func(resp []byte) {
-				if err := parseAdjResp(ids, resp, neigh); err != nil && perr == nil {
-					perr = err
-				}
-			})
-		}
-		r.Drain(0)
-		r.Barrier() // keep serving peers still fetching
-		return neigh, perr
-	}
-	return nil, fmt.Errorf("graph: unknown reduce mode %q", mode)
-}
-
-// SortVertices orders a vertex list ascending.
-func SortVertices(vs []Vertex) {
-	for i := 1; i < len(vs); i++ { // insertion sort: lists are small and nearly sorted
-		for j := i; j > 0 && vs[j] < vs[j-1]; j-- {
-			vs[j], vs[j-1] = vs[j-1], vs[j]
-		}
-	}
+// twinMark names an edge whose removal its twin's owner must mirror.
+var twinMark = codec[[2]Vertex]{name: "twin mark", size: 16,
+	put: func(dst []byte, m [2]Vertex) []byte {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(m[0]))
+		return binary.LittleEndian.AppendUint64(dst, uint64(m[1]))
+	},
+	get: func(src []byte) [2]Vertex {
+		return [2]Vertex{Vertex(binary.LittleEndian.Uint64(src)), Vertex(binary.LittleEndian.Uint64(src[8:]))}
+	},
+	vertex: func(m [2]Vertex) Vertex { return m[0] },
 }
 
 // Reduce returns the transitively reduced graph. Collective; g is not
 // modified. The output on every rank is a pure function of the global
 // input graph — mode and rank count never change which edges survive.
 func Reduce(r rt.Runtime, g *Graph, cfg ReduceConfig) (*Graph, error) {
-	// Which middle-vertex adjacencies does this rank need? Every To of a
-	// local edge.
-	need := make(map[Vertex]bool)
-	me := r.Rank()
-	met := r.Metrics()
-	r.Timed(rt.CatOverhead, func() {
-		for _, es := range g.Adj {
-			for _, e := range es {
-				// A repeated remote middle vertex is a lookup the need-map
-				// dedup saved from the wire.
-				if need[e.To] && g.Part.Owner(e.To.Read()) != me {
-					met.GraphCoalesced++
-				}
-				need[e.To] = true
-			}
-		}
-	})
-	neigh, err := g.fetchNeighbors(r, cfg.Mode, need)
+	m, err := parseMode(cfg.Mode)
 	if err != nil {
 		return nil, err
 	}
+	// The middle vertices this rank needs: every To of a local edge.
+	var mids []Vertex
+	r.Timed(rt.CatOverhead, func() {
+		for _, es := range g.Adj {
+			for _, e := range es {
+				mids = append(mids, e.To)
+			}
+		}
+	})
+	adj := g.adjacencyRound()
+	x := openExchange(r, g.Part, m, adj)
+	neigh := make(map[Vertex][]Edge)
+	fetchErr := errors.Join(fetch(x, adj, mids, neigh), x.close())
 
-	// Mark local reducible edges.
+	// Mark local reducible edges. A rank whose fetch failed still marks
+	// and joins the symmetrization round below, so the collectives stay
+	// matched, and reports the error after it.
 	local := g.EdgeList()
 	idx := make(map[[2]Vertex]int, len(local))
 	for i, e := range local {
@@ -251,45 +142,20 @@ func Reduce(r rt.Runtime, g *Graph, cfg ReduceConfig) (*Graph, error) {
 	// pairs always live or die together (duplicate-overlap dedup can give
 	// the two directions different labels, and the contig walk depends on
 	// indeg(v) == outdeg(twin(v)) holding exactly).
-	p, me := r.Size(), r.Rank()
-	send := make([][]byte, p)
-	r.Timed(rt.CatOverhead, func() {
-		for i, m := range marked {
-			if !m {
-				continue
-			}
-			tf, tt := local[i].To.Twin(), local[i].From.Twin()
-			dst := g.Part.Owner(tf.Read())
-			var rec [16]byte
-			binary.LittleEndian.PutUint64(rec[0:], uint64(tf))
-			binary.LittleEndian.PutUint64(rec[8:], uint64(tt))
-			send[dst] = append(send[dst], rec[:]...)
+	var marks [][2]Vertex
+	for i, e := range local {
+		if marked[i] {
+			marks = append(marks, [2]Vertex{e.To.Twin(), e.From.Twin()})
 		}
-	})
-	recv := r.Alltoallv(send)
-	var symErr error
-	r.Timed(rt.CatOverhead, func() {
-		for src := 0; src < p; src++ {
-			buf := recv[src]
-			if len(buf)%16 != 0 {
-				symErr = fmt.Errorf("graph: twin-mark payload from rank %d is %d bytes", src, len(buf))
-				return
-			}
-			for off := 0; off < len(buf); off += 16 {
-				f := Vertex(binary.LittleEndian.Uint64(buf[off:]))
-				t := Vertex(binary.LittleEndian.Uint64(buf[off+8:]))
-				if g.Part.Owner(f.Read()) != me {
-					symErr = fmt.Errorf("graph: rank %d received twin mark %v→%v it does not own", me, f, t)
-					return
-				}
-				if i, ok := idx[[2]Vertex{f, t}]; ok {
-					marked[i] = true
-				}
-			}
+	}
+	got, pushErr := push(r, g.Part, twinMark, marks)
+	if err := errors.Join(fetchErr, pushErr); err != nil {
+		return nil, err
+	}
+	for _, mk := range got {
+		if i, ok := idx[mk]; ok {
+			marked[i] = true
 		}
-	})
-	if symErr != nil {
-		return nil, symErr
 	}
 
 	out := &Graph{Part: g.Part, Lens: g.Lens, Contained: g.Contained, Adj: make(map[Vertex][]Edge)}

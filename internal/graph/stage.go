@@ -71,7 +71,7 @@ type ContigStage struct {
 func (ContigStage) Name() string { return "contigs" }
 
 // Run executes this rank's share of the walk. Contig bases come from the
-// rank's owner-only store (plus RPC for remote suffixes), so the stage
+// rank's owner-only store (plus the suffix round for remote suffixes), so the stage
 // needs real sequences — the phantom codec's metadata-only runs stop
 // after reduce.
 func (s ContigStage) Run(r rt.Runtime, _ *pipeline.Plan, store seq.Store, prev any) (any, error) {
